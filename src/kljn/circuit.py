@@ -136,8 +136,8 @@ def line_signals(
     Raises LengthMismatchError for unequal lengths, EmptyInputError for
     zero-length input.
     """
-    v_a = np.asarray(alice_source, dtype=np.float64)
-    v_b = np.asarray(bob_source, dtype=np.float64)
+    v_a = np.array(alice_source, dtype=np.float64)
+    v_b = np.array(bob_source, dtype=np.float64)
     if v_a.ndim != 1 or v_b.ndim != 1:
         raise ValidationError("source sample sequences must be one-dimensional")
     if v_a.size != v_b.size:
@@ -146,11 +146,25 @@ def line_signals(
         )
     if v_a.size == 0:
         raise EmptyInputError("source sample sequences are empty")
-    r_a, r_b = quad.connected(state)
-    loop_resistance = r_a + r_b
-    i_e = (v_b - v_a) / loop_resistance
-    v_e = (r_b * v_a + r_a * v_b) / loop_resistance
+    v_e, i_e = superpose(*quad.connected(state), v_a, v_b)
     return LineSignals(v_e=v_e, i_e=i_e)
+
+
+def superpose(r_a, r_b, v_a: np.ndarray, v_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wire (v_e, i_e) of sources v_a, v_b behind resistances r_a, r_b (see line_signals).
+
+    Elementwise with broadcasting, so per-row resistance columns combine a
+    whole block of windows in one call. Works in place to bound memory:
+    v_e and i_e are returned in the buffers of v_a and v_b.
+    """
+    loop_resistance = r_a + r_b
+    bob_term = r_a * v_b
+    v_b -= v_a
+    v_b /= loop_resistance
+    v_a *= r_b
+    v_a += bob_term
+    v_a /= loop_resistance
+    return v_a, v_b
 
 
 def theoretical_moments(

@@ -62,6 +62,17 @@ def _require_number(raw: object, where: str) -> float:
     return float(raw)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tolerance: a finite, non-negative residual bound."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
 def load_config(path: str | Path) -> FileConfig:
     """Parse and validate a JSON config file. Unknown keys are ignored."""
     text = Path(path).read_text()
@@ -289,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="check the three security conditions")
     check.add_argument("config", help="JSON configuration file")
     check.add_argument(
-        "--tolerance", type=float, default=1e-9, help="residual tolerance for PASS (default 1e-9)"
+        "--tolerance",
+        type=_tolerance,
+        default=1e-9,
+        help="residual tolerance for PASS (default 1e-9)",
     )
     check.add_argument(
         "--solve",

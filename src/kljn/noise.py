@@ -84,6 +84,39 @@ def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 
+def standard_normal_streams(master_seed: int, stream_ids: np.ndarray, samples: int) -> np.ndarray:
+    """Unit-variance draws of many streams, shape ``stream_ids.shape + (samples,)``.
+
+    Each stream's samples are bit for bit those of
+    ``StreamSeed(master_seed, stream_id).generator().standard_normal(samples)``:
+    one Philox is re-keyed per stream with a zeroed counter, which costs a
+    fraction of building a generator per stream.
+    """
+    _require_uint64("master_seed", master_seed)
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
+        raise ValidationError(f"sample count must be a non-negative integer, got {samples!r}")
+    stream_ids = np.asarray(stream_ids)
+    if stream_ids.size and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
+        raise ValidationError("stream ids must be unsigned 64-bit integers")
+    key = [master_seed, 0]
+    fresh_stream = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bit_generator = np.random.Philox()
+    draw = np.random.Generator(bit_generator).standard_normal
+    out = np.empty(stream_ids.shape + (samples,))
+    for row, stream_id in zip(out.reshape(stream_ids.size, samples), stream_ids.ravel().tolist()):
+        key[1] = stream_id
+        bit_generator.state = fresh_stream
+        draw(out=row)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class JohnsonParams:
     """Temperature (K) and bandwidth (Hz) for thermal-noise conversions."""

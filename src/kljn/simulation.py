@@ -22,7 +22,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .circuit import LineSignals, LineState, NoiseVariances, ResistorQuad, line_signals
+from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
 from .errors import DegenerateInputError, ValidationError
 from .noise import (
     GEN_HA,
@@ -30,12 +30,21 @@ from .noise import (
     GEN_LA,
     GEN_LB,
     STATE_COIN_STREAM_ID,
+    STREAM_STRIDE,
     StreamSeed,
-    gaussian_block,
+    _require_uint64,
+    standard_normal_streams,
     stream_id_for,
 )
 
-_UINT64_MAX = 2**64 - 1
+# The per-bit primitives stay importable from this module; the batched
+# kernel reproduces them bit for bit without calling them.
+from .circuit import line_signals  # noqa: F401
+from .noise import gaussian_block  # noqa: F401
+
+# Samples per source array in one kernel block (128 KiB of float64): keeps
+# the kernel's working set to a few such arrays at any window length.
+_BLOCK_SAMPLES = 16_384
 
 
 class StatePolicy(Enum):
@@ -65,18 +74,11 @@ class SimConfig:
     state_policy: StatePolicy = StatePolicy.ALTERNATE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples_per_bit, int) or self.samples_per_bit < 2:
-            raise ValidationError(
-                f"samples_per_bit must be an integer >= 2, got {self.samples_per_bit!r}"
-            )
-        if not isinstance(self.num_bits, int) or self.num_bits < 1:
-            raise ValidationError(f"num_bits must be a positive integer, got {self.num_bits!r}")
-        if (
-            not isinstance(self.master_seed, int)
-            or isinstance(self.master_seed, bool)
-            or not 0 <= self.master_seed <= _UINT64_MAX
-        ):
-            raise ValidationError(f"master_seed must be an unsigned 64-bit integer")
+        for name, low in (("samples_per_bit", 2), ("num_bits", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        _require_uint64("master_seed", self.master_seed)
         if not isinstance(self.state_policy, StatePolicy):
             raise ValidationError(f"state_policy must be a StatePolicy, got {self.state_policy!r}")
 
@@ -91,47 +93,58 @@ class BitStats:
     cross: float  # sample mean of v_e * i_e, V*A
 
 
-def _bit_sources(
-    state: LineState, config: SimConfig, bit_index: int
+def _connected_columns(pair_of, hl_flags: np.ndarray) -> np.ndarray:
+    """(alice, bob) values of a per-state pair as two columns, one row per bit."""
+    return np.where(hl_flags[:, None], pair_of(LineState.HL), pair_of(LineState.LH)).T[..., None]
+
+
+def _wire_signals(
+    config: SimConfig, start: int, hl_flags: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regenerate the two connected source streams of one bit."""
-    if not 0 <= bit_index < config.num_bits:
-        raise ValidationError(
-            f"bit_index must be in [0, {config.num_bits}), got {bit_index!r}"
-        )
-    if state is LineState.LH:
-        alice_slot, alice_var = GEN_LA, config.variances.v_la_sq
-        bob_slot, bob_var = GEN_HB, config.variances.v_hb_sq
-    else:
-        alice_slot, alice_var = GEN_HA, config.variances.v_ha_sq
-        bob_slot, bob_var = GEN_LB, config.variances.v_lb_sq
+    """Wire (v_e, i_e) windows of bits [start, start + len(hl_flags)), one row per bit.
+
+    Row r is bit start + r, in state HL where hl_flags[r]. Its sources are that
+    bit's connected streams and go through line_signals' expressions, so every
+    row is bit-identical to the bit simulated alone.
+    """
+    stream_id_for(start + hl_flags.size - 1, GEN_HB)  # the block's largest id fits 64 bits
+    bit_ids = np.arange(start, start + hl_flags.size, dtype=np.uint64) * np.uint64(STREAM_STRIDE)
+    slots = np.where(hl_flags, [[GEN_HA], [GEN_LB]], [[GEN_LA], [GEN_HB]]).astype(np.uint64)
     n = config.samples_per_bit
-    alice = gaussian_block(
-        n, alice_var, StreamSeed(config.master_seed, stream_id_for(bit_index, alice_slot))
-    )
-    bob = gaussian_block(
-        n, bob_var, StreamSeed(config.master_seed, stream_id_for(bit_index, bob_slot))
-    )
-    return alice, bob
+    alice, bob = standard_normal_streams(config.master_seed, bit_ids + slots, n)
+    s_a, s_b = _connected_columns(config.variances.connected, hl_flags)
+    alice *= np.sqrt(s_a)
+    bob *= np.sqrt(s_b)
+    return superpose(*_connected_columns(config.quad.connected, hl_flags), alice, bob)
 
 
-def _bit_signals(state: LineState, config: SimConfig, bit_index: int) -> LineSignals:
-    alice, bob = _bit_sources(state, config, bit_index)
-    return line_signals(state, config.quad, alice, bob)
-
-
-def _window_statistics(signals: LineSignals) -> tuple[float, float, float]:
+def _window_moments(v_e: np.ndarray, i_e: np.ndarray) -> np.ndarray:
+    """(var_v, var_i, cross) of every window, shape (3, windows)."""
     # Unbiased (n-1) variances; raw mean for the cross moment since the
     # sources are zero-mean by construction.
-    var_v = float(np.var(signals.v_e, ddof=1))
-    var_i = float(np.var(signals.i_e, ddof=1))
-    cross = float(np.mean(signals.v_e * signals.i_e))
-    return var_v, var_i, cross
+    return np.stack(
+        [np.var(v_e, axis=1, ddof=1), np.var(i_e, axis=1, ddof=1), np.mean(v_e * i_e, axis=1)]
+    )
+
+
+def _bit_window(
+    state: LineState, config: SimConfig, bit_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(v_e, i_e) of one bit, each of shape (1, samples_per_bit)."""
+    if (
+        isinstance(bit_index, bool)
+        or not isinstance(bit_index, int)
+        or not 0 <= bit_index < config.num_bits
+    ):
+        raise ValidationError(
+            f"bit_index must be an integer in [0, {config.num_bits}), got {bit_index!r}"
+        )
+    return _wire_signals(config, bit_index, np.array([state is LineState.HL]))
 
 
 def simulate_bit(state: LineState, config: SimConfig, bit_index: int) -> BitStats:
     """Synthesize one bit window and return the eavesdropper's statistics."""
-    var_v, var_i, cross = _window_statistics(_bit_signals(state, config, bit_index))
+    var_v, var_i, cross = _window_moments(*_bit_window(state, config, bit_index))[:, 0].tolist()
     return BitStats(true_state=state, var_v=var_v, var_i=var_i, cross=cross)
 
 
@@ -140,8 +153,8 @@ def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.nda
 
     Exactly the samples simulate_bit reduces for the same arguments.
     """
-    signals = _bit_signals(state, config, bit_index)
-    return np.column_stack([signals.v_e, signals.i_e])
+    v_e, i_e = _bit_window(state, config, bit_index)
+    return np.column_stack([v_e[0], i_e[0]])
 
 
 def assign_states(config: SimConfig) -> np.ndarray:
@@ -210,19 +223,15 @@ class ExchangeResult(Sequence):
         return self._cross
 
 
-def _simulate_chunk(
-    config: SimConfig, start: int, hl_flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Statistics for bits [start, start + len(hl_flags)); process-pool worker."""
-    n = hl_flags.size
-    var_v = np.empty(n)
-    var_i = np.empty(n)
-    cross = np.empty(n)
-    for offset, is_hl in enumerate(hl_flags):
-        state = LineState.HL if is_hl else LineState.LH
-        stats = _window_statistics(_bit_signals(state, config, start + offset))
-        var_v[offset], var_i[offset], cross[offset] = stats
-    return var_v, var_i, cross
+def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
+    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); process-pool worker."""
+    rows = max(1, _BLOCK_SAMPLES // config.samples_per_bit)
+    columns = np.empty((3, hl_flags.size))
+    for offset in range(0, hl_flags.size, rows):
+        # one expression, so a block's signals are freed before the next is drawn
+        block = slice(offset, offset + rows)
+        columns[:, block] = _window_moments(*_wire_signals(config, start + offset, hl_flags[block]))
+    return columns
 
 
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
@@ -232,51 +241,41 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     The result is identical for every thread count and scheduling order
     because each bit's streams are keyed by its index alone.
     """
-    if threads < 0:
-        raise ValidationError(f"threads must be >= 0, got {threads!r}")
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 0:
+        raise ValidationError(f"threads must be an integer >= 0, got {threads!r}")
     hl_mask = assign_states(config)
     workers = threads if threads else (os.cpu_count() or 1)
     if workers == 1 or config.num_bits < 2 * workers:
-        columns = _simulate_chunk(config, 0, hl_mask)
-        return ExchangeResult(hl_mask, *columns)
+        return ExchangeResult(hl_mask, *_simulate_chunk(config, 0, hl_mask))
 
     chunk = max(64, -(-config.num_bits // (workers * 4)))
-    starts = range(0, config.num_bits, chunk)
-    var_v = np.empty(config.num_bits)
-    var_i = np.empty(config.num_bits)
-    cross = np.empty(config.num_bits)
+    columns = np.empty((3, config.num_bits))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(_simulate_chunk, config, start, hl_mask[start : start + chunk]): start
-            for start in starts
+            for start in range(0, config.num_bits, chunk)
         }
         for future, start in futures.items():
-            chunk_v, chunk_i, chunk_c = future.result()
-            stop = start + chunk_v.size
-            var_v[start:stop] = chunk_v
-            var_i[start:stop] = chunk_i
-            cross[start:stop] = chunk_c
-    return ExchangeResult(hl_mask, var_v, var_i, cross)
+            part = future.result()
+            columns[:, start : start + part.shape[1]] = part
+    return ExchangeResult(hl_mask, *columns)
 
 
 BitStatsLike = Union[ExchangeResult, Iterable[BitStats]]
 
 
 def _pooled(stats: BitStatsLike, indicator: Indicator) -> tuple[np.ndarray, np.ndarray]:
-    """(values, hl_mask) for any sequence of BitStats."""
-    if isinstance(stats, ExchangeResult):
-        return stats.indicator_values(indicator), stats.state_mask(LineState.HL)
-    stats = list(stats)
-    hl_mask = np.fromiter(
-        (s.true_state is LineState.HL for s in stats), dtype=bool, count=len(stats)
-    )
-    if indicator is Indicator.CURRENT_VARIANCE:
-        values = [s.var_i for s in stats]
-    elif indicator is Indicator.VOLTAGE_VARIANCE:
-        values = [s.var_v for s in stats]
-    else:
-        values = [s.cross for s in stats]
-    return np.asarray(values, dtype=np.float64), hl_mask
+    """(values, hl_mask) for any sequence of BitStats; the values must be finite."""
+    if not isinstance(stats, ExchangeResult):
+        stats = list(stats)
+        stats = ExchangeResult(
+            [s.true_state is LineState.HL for s in stats],
+            *([getattr(s, name) for s in stats] for name in ("var_v", "var_i", "cross")),
+        )
+    values = stats.indicator_values(indicator)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{indicator.value} values must all be finite")
+    return values, stats.state_mask(LineState.HL)
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,6 +57,12 @@ class TestLineSignals:
         assert out.i_e.tolist() == [1.0]
         assert out.v_e.tolist() == [2.0]
 
+    def test_sources_are_not_modified(self, small_quad):
+        alice, bob = np.array([1.0, -2.0]), np.array([5.0, 0.5])
+        line_signals(LineState.HL, small_quad, alice, bob)
+        assert alice.tolist() == [1.0, -2.0]
+        assert bob.tolist() == [5.0, 0.5]
+
     def test_lh_divider_reversed_sources(self, small_quad):
         out = line_signals(LineState.LH, small_quad, [5.0], [1.0])
         assert out.i_e.tolist() == [-1.0]

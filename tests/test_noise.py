@@ -14,7 +14,13 @@ from kljn import (
     stream_id_for,
     theoretical_moments,
 )
-from kljn.noise import GEN_HB, GEN_LA, STATE_COIN_STREAM_ID, STREAM_STRIDE
+from kljn.noise import (
+    GEN_HB,
+    GEN_LA,
+    STATE_COIN_STREAM_ID,
+    STREAM_STRIDE,
+    standard_normal_streams,
+)
 
 
 class TestStreamLayout:
@@ -114,6 +120,39 @@ class TestGaussianBlock:
         assert (signals.v_e * signals.i_e).mean() == pytest.approx(
             want.cross_moment, abs=4.0 * cross_sd
         )
+
+
+class TestStandardNormalStreams:
+    @pytest.mark.parametrize("master_seed", [0, 77, 2**64 - 1])
+    def test_each_row_is_its_own_stream(self, master_seed):
+        ids = [[0, 2**64 - 1, 9], [9, 3, 2**63]]
+        rows = standard_normal_streams(master_seed, np.array(ids, dtype=np.uint64), 257)
+        assert rows.shape == (2, 3, 257)
+        for row, stream_id in zip(rows.reshape(6, 257), sum(ids, [])):
+            want = StreamSeed(master_seed, stream_id).generator().standard_normal(257)
+            assert np.array_equal(row, want)
+
+    def test_scaled_rows_equal_gaussian_block(self):
+        rows = standard_normal_streams(5, [4, 12], 1000)
+        for row, stream_id in zip(rows, [4, 12]):
+            want = gaussian_block(1000, 2.5, StreamSeed(5, stream_id))
+            assert np.array_equal(np.sqrt(2.5) * row, want)
+
+    def test_empty(self):
+        assert standard_normal_streams(0, [], 8).shape == (0, 8)
+        assert standard_normal_streams(0, [1, 2], 0).shape == (2, 0)
+
+    @pytest.mark.parametrize(
+        "master_seed, samples", [(-1, 4), (2**64, 4), (True, 4), (0, -1), (0, 2.0)]
+    )
+    def test_rejects_bad_arguments(self, master_seed, samples):
+        with pytest.raises(ValidationError):
+            standard_normal_streams(master_seed, [0], samples)
+
+    @pytest.mark.parametrize("stream_ids", [[-1], [1.5], [2**64], [0, -1, 2**64 - 1]])
+    def test_rejects_bad_stream_ids(self, stream_ids):
+        with pytest.raises(ValidationError):
+            standard_normal_streams(0, stream_ids, 4)
 
 
 class TestJohnson:

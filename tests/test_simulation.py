@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from kljn import (
     BitStats,
     DegenerateInputError,
+    ExchangeResult,
     Indicator,
     LineState,
     NoiseVariances,
@@ -17,7 +20,7 @@ from kljn import (
     simulate_bit,
     theoretical_moments,
 )
-from kljn.simulation import assign_states
+from kljn.simulation import _BLOCK_SAMPLES, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,11 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(**good, master_seed=-1)
         with pytest.raises(ValidationError):
+            SimConfig(**good, master_seed=2**64)
+        for field in ("samples_per_bit", "num_bits"):
+            with pytest.raises(ValidationError):
+                SimConfig(**good, **{field: True})
+        with pytest.raises(ValidationError):
             SimConfig(**good, state_policy="alternate")
 
     def test_defaults(self, asymmetric_quad, asymmetric_vars):
@@ -89,6 +97,9 @@ class TestSimulateBit:
             simulate_bit(LineState.LH, small_config, -1)
         with pytest.raises(ValidationError):
             simulate_bit(LineState.LH, small_config, small_config.num_bits)
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError):
+                simulate_bit(LineState.LH, small_config, bad)
 
     def test_statistics_definition(self, small_config):
         # the reported numbers are the (n-1) variances and the raw product
@@ -197,6 +208,11 @@ class TestRunExchange:
         with pytest.raises(ValidationError):
             run_exchange(small_config, threads=-1)
 
+    @pytest.mark.parametrize("threads", [1.5, True, "2", None])
+    def test_rejects_non_integer_threads(self, small_config, threads):
+        with pytest.raises(ValidationError):
+            run_exchange(small_config, threads=threads)
+
 
 class TestEstimateBer:
     @pytest.mark.parametrize("indicator", list(Indicator))
@@ -236,6 +252,19 @@ class TestEstimateBer:
         as_list = list(small_result)
         for indicator in Indicator:
             assert estimate_ber(as_list, indicator) == estimate_ber(small_result, indicator)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, small_result, bad):
+        bits = synthetic_bits([1.0, bad], [3.0, 4.0], Indicator.CROSS_CORRELATION)
+        n = len(small_result)
+        cross = np.where(np.arange(n) == 7, bad, 0.0)
+        hl_mask = small_result.state_mask(LineState.HL)
+        columns = ExchangeResult(hl_mask, np.ones(n), np.ones(n), cross)
+        for stats in (bits, columns):
+            with pytest.raises(ValidationError):
+                estimate_ber(stats, Indicator.CROSS_CORRELATION)
+            with pytest.raises(ValidationError):
+                histogram(stats, Indicator.CROSS_CORRELATION, 4)
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(23)
@@ -320,3 +349,83 @@ class TestVarianceMismatchIsVisible:
         )
         entry = estimate_ber(run_exchange(config), Indicator.CURRENT_VARIANCE)
         assert entry.leak > 0.2
+
+
+def reference_windows(config, hl_mask):
+    """Every bit's (v_e, i_e) from plain numpy: one fresh Philox per stream.
+
+    The README layout keys a bit's slot (la=0, ha=1, lb=2, hb=3) as
+    [master_seed, bit * 8 + slot]; the wire follows the loop equations.
+    """
+    q, v, n = config.quad, config.variances, config.samples_per_bit
+    for bit, is_hl in enumerate(hl_mask):
+        if is_hl:
+            (slot_a, r_a, s_a), (slot_b, r_b, s_b) = (1, q.r_ha, v.v_ha_sq), (2, q.r_lb, v.v_lb_sq)
+        else:
+            (slot_a, r_a, s_a), (slot_b, r_b, s_b) = (0, q.r_la, v.v_la_sq), (3, q.r_hb, v.v_hb_sq)
+        v_a, v_b = (
+            np.random.Generator(
+                np.random.Philox(key=np.array([config.master_seed, bit * 8 + slot], np.uint64))
+            ).normal(0.0, np.sqrt(variance), n)
+            for slot, variance in ((slot_a, s_a), (slot_b, s_b))
+        )
+        yield (r_b * v_a + r_a * v_b) / (r_a + r_b), (v_b - v_a) / (r_a + r_b)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(config):
+    """(hl_mask, [var_v, var_i, cross] rows, windows) of the per-bit reference."""
+    if config.state_policy is StatePolicy.ALTERNATE:
+        hl_mask = np.arange(config.num_bits) % 2 == 1
+    else:
+        coin = np.random.Philox(key=np.array([config.master_seed, 4], dtype=np.uint64))
+        hl_mask = np.random.Generator(coin).random(config.num_bits) >= 0.5
+    windows = list(reference_windows(config, hl_mask))
+    columns = np.array(
+        [[np.var(v_e, ddof=1), np.var(i_e, ddof=1), np.mean(v_e * i_e)] for v_e, i_e in windows]
+    ).T
+    return hl_mask, columns, windows
+
+
+KERNEL_CASES = [
+    pytest.param(policy, samples, seed, id=f"{policy.value}-n{samples}")
+    for policy in StatePolicy
+    for samples, seed in ((2, 2**64 - 1), (32, 5), (1000, 0))
+]
+
+
+def kernel_config(quad, variances, policy, samples, seed):
+    # a few bits past the first kernel block, so the run straddles a block boundary
+    return SimConfig(
+        quad=quad,
+        variances=variances,
+        samples_per_bit=samples,
+        num_bits=_BLOCK_SAMPLES // samples + 3,
+        master_seed=seed,
+        state_policy=policy,
+    )
+
+
+class TestKernelMatchesPerBitReference:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("policy, samples, seed", KERNEL_CASES)
+    def test_columns(self, asymmetric_quad, asymmetric_vars, policy, samples, seed, threads):
+        config = kernel_config(asymmetric_quad, asymmetric_vars, policy, samples, seed)
+        hl_mask, (var_v, var_i, cross), _ = reference_run(config)
+        result = run_exchange(config, threads=threads)
+        assert np.array_equal(result.state_mask(LineState.HL), hl_mask)
+        assert np.array_equal(result.indicator_values(Indicator.VOLTAGE_VARIANCE), var_v)
+        assert np.array_equal(result.indicator_values(Indicator.CURRENT_VARIANCE), var_i)
+        assert np.array_equal(result.indicator_values(Indicator.CROSS_CORRELATION), cross)
+
+    @pytest.mark.parametrize("policy, samples, seed", KERNEL_CASES)
+    def test_single_bit_calls(self, asymmetric_quad, asymmetric_vars, policy, samples, seed):
+        config = kernel_config(asymmetric_quad, asymmetric_vars, policy, samples, seed)
+        hl_mask, columns, windows = reference_run(config)
+        last = config.num_bits - 1
+        for bit in (0, 1, _BLOCK_SAMPLES // samples, last):
+            state = LineState.HL if hl_mask[bit] else LineState.LH
+            v_e, i_e = windows[bit]
+            assert np.array_equal(scatter_trace(state, config, bit), np.column_stack([v_e, i_e]))
+            want = BitStats(state, *columns[:, bit].tolist())
+            assert simulate_bit(state, config, bit) == want
