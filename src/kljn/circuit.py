@@ -29,11 +29,14 @@ class LineState(Enum):
     HL = "HL"
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+def _require_positive_finite(record) -> None:
+    """Reject any field of ``record`` that is not a positive, finite real (bools excluded)."""
+    for name in record.__slots__:  # the dataclass fields, in order
+        value = getattr(record, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +54,7 @@ class ResistorQuad:
     r_hb: float
 
     def __post_init__(self) -> None:
-        for name in ("r_la", "r_ha", "r_lb", "r_hb"):
-            _require_positive_finite(name, getattr(self, name))
+        _require_positive_finite(self)
         if self.r_la == self.r_ha:
             raise ValidationError(f"Alice's resistors must differ, both are {self.r_la} ohm")
         if self.r_lb == self.r_hb:
@@ -78,8 +80,7 @@ class NoiseVariances:
     v_hb_sq: float
 
     def __post_init__(self) -> None:
-        for name in ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"):
-            _require_positive_finite(name, getattr(self, name))
+        _require_positive_finite(self)
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_variance, bob_variance) of the sources on the wire."""
@@ -167,27 +168,20 @@ def superpose(r_a, r_b, v_a: np.ndarray, v_b: np.ndarray) -> tuple[np.ndarray, n
     return v_a, v_b
 
 
+def wire_moments(r_a, r_b, s_a, s_b) -> tuple[float, float, float]:
+    """Exact (current variance, voltage variance, cross moment) on the wire.
+
+    Independent zero-mean sources of variance s_a, s_b sit behind the connected
+    resistances r_a, r_b; their independence kills every cross term, which makes
+    the closed forms below exact. The cross moment is the mean power flowing from
+    Bob's side toward Alice's; it vanishes only in thermal equilibrium.
+    """
+    d = (r_a + r_b) ** 2
+    return (s_a + s_b) / d, (r_b**2 * s_a + r_a**2 * s_b) / d, (r_a * s_b - r_b * s_a) / d
+
+
 def theoretical_moments(
     state: LineState, quad: ResistorQuad, variances: NoiseVariances
 ) -> SecondMoments:
-    """Exact second moments of the wire signals for independent zero-mean sources.
-
-    With connected pair (r_a, s_a), (r_b, s_b) and d = (r_a + r_b)**2:
-
-        current variance  (s_a + s_b) / d
-        voltage variance  (r_b**2 * s_a + r_a**2 * s_b) / d
-        cross moment      (r_a * s_b - r_b * s_a) / d
-
-    Source independence kills every cross term, which is what makes these
-    closed forms exact. The cross moment is the mean power flowing from Bob's
-    side toward Alice's; it vanishes only when the two sides are in thermal
-    equilibrium.
-    """
-    r_a, r_b = quad.connected(state)
-    s_a, s_b = variances.connected(state)
-    d = (r_a + r_b) ** 2
-    return SecondMoments(
-        current_variance=(s_a + s_b) / d,
-        voltage_variance=(r_b**2 * s_a + r_a**2 * s_b) / d,
-        cross_moment=(r_a * s_b - r_b * s_a) / d,
-    )
+    """Exact second moments of the wire signals in ``state`` (see wire_moments)."""
+    return SecondMoments(*wire_moments(*quad.connected(state), *variances.connected(state)))

@@ -35,6 +35,12 @@ from .solver import check_security, solve_variances
 
 DEFAULT_HISTOGRAM_BINS = 200
 _VARIANCE_FIELDS = ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq")
+# Each security residual and the observable whose LH/HL mismatch it measures.
+_RESIDUAL_OBSERVABLES = {
+    "current_residual": "current variance",
+    "voltage_residual": "voltage variance",
+    "cross_residual": "voltage-current cross moment",
+}
 
 
 def _fmt(value: float) -> str:
@@ -167,13 +173,19 @@ def cmd_check(args: argparse.Namespace) -> int:
             "to derive it from 'v_la_variance_v2')"
         )
     residuals = check_security(config.quad, variances)
-    print(f"current_residual,{_fmt(residuals.current_residual)}")
-    print(f"voltage_residual,{_fmt(residuals.voltage_residual)}")
-    print(f"cross_residual,{_fmt(residuals.cross_residual)}")
+    values = {name: getattr(residuals, name) for name in _RESIDUAL_OBSERVABLES}
+    for name, value in values.items():
+        print(f"{name},{_fmt(value)}")
     if residuals.within(args.tolerance):
         print("PASS")
         return 0
     print("FAIL")
+    worst = max(values, key=values.get)
+    print(
+        f"FAIL: {worst} is {_fmt(values[worst])}, not below the tolerance {args.tolerance:g}; "
+        f"the {_RESIDUAL_OBSERVABLES[worst]} differs between the LH and HL states",
+        file=sys.stderr,
+    )
     return 3
 
 

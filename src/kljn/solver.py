@@ -9,23 +9,25 @@ and checks the conditions for arbitrary variance sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .circuit import LineState, NoiseVariances, ResistorQuad, theoretical_moments
+# benchmarks/spans.py traces kljn.solver.theoretical_moments, so the name stays bound here.
+from .circuit import NoiseVariances, ResistorQuad, theoretical_moments, wire_moments  # noqa: F401
 from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationError
 
 # Denominator magnitudes below SINGULAR_RTOL times the sum of their term
 # magnitudes are pure cancellation noise, not meaningful values.
 SINGULAR_RTOL = 1e-15
 
-# Both sides of a condition below this magnitude compare absolutely, not
-# relatively; the cross moment is legitimately zero for same-pair setups.
-_ZERO_SCALE = 1e-30
-
 
 @dataclass(frozen=True, slots=True)
 class SecurityResiduals:
-    """Relative mismatch of each observable between the LH and HL states."""
+    """Mismatch of each observable between the LH and HL states, free of physical scale.
+
+    For current variance I, voltage variance V and cross moment C: |ΔI| / max I,
+    |ΔV| / max V and |ΔC| / sqrt(max I * max V), the last on the correlation scale.
+    """
 
     current_residual: float
     voltage_residual: float
@@ -51,15 +53,11 @@ class Feasibility:
         return self.feasible
 
 
-def _guarded_ratio(name: str, numerator_terms: tuple, denominator_terms: tuple) -> float:
-    denominator = sum(denominator_terms)
-    scale = sum(abs(t) for t in denominator_terms)
-    if abs(denominator) < SINGULAR_RTOL * scale:
-        raise SingularDenominatorError(
-            f"denominator for {name} is {denominator:.3e} against term scale {scale:.3e}; "
-            "the resistor set is too close to degenerate"
-        )
-    return sum(numerator_terms) / denominator
+def _singular(name: str, denominator: float, scale: float) -> SingularDenominatorError:
+    return SingularDenominatorError(
+        f"denominator for {name} is {denominator:.3e} against term scale {scale:.3e}; "
+        "the resistor set is too close to degenerate"
+    )
 
 
 def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
@@ -76,50 +74,57 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     if not v_la_sq > 0:
         raise ValidationError(f"v_la_sq must be positive, got {v_la_sq!r}")
     r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
+    ha_hb = r_ha * r_hb
 
-    v_hb_sq = v_la_sq * _guarded_ratio(
-        "v_hb_sq",
-        (r_lb * (r_ha + r_hb), -r_ha * r_hb, -(r_hb**2)),
-        (r_la**2, r_lb * (r_la - r_ha), -r_ha * r_la),
+    # Each ratio sums three numerator, then three denominator terms left to right; the
+    # v_ha terms are all positive, so only the v_hb and v_lb denominators can cancel.
+    numerator = r_lb * (r_ha + r_hb) - ha_hb - r_hb**2
+    la_sq = r_la**2
+    mixed = r_lb * (r_la - r_ha)
+    ha_la = r_ha * r_la
+    denominator = la_sq + mixed - ha_la
+    scale = la_sq + abs(mixed) + ha_la
+    if abs(denominator) < SINGULAR_RTOL * scale:
+        raise _singular("v_hb_sq", denominator, scale)
+    v_hb_sq = v_la_sq * (numerator / denominator)
+
+    v_ha_sq = v_la_sq * (
+        (r_ha**2 + r_lb * (r_hb + r_ha) + ha_hb) / (la_sq + r_lb * (r_la + r_hb) + r_hb * r_la)
     )
-    v_ha_sq = v_la_sq * _guarded_ratio(
-        "v_ha_sq",
-        (r_ha**2, r_lb * (r_hb + r_ha), r_ha * r_hb),
-        (r_la**2, r_lb * (r_la + r_hb), r_hb * r_la),
-    )
-    v_lb_sq = v_la_sq * _guarded_ratio(
-        "v_lb_sq",
-        (r_lb**2, r_lb * (r_ha - r_hb), -r_ha * r_hb),
-        (r_la**2, r_la * (r_hb - r_ha), -r_ha * r_hb),
-    )
+
+    numerator = r_lb**2 + r_lb * (r_ha - r_hb) - ha_hb
+    mixed = r_la * (r_hb - r_ha)
+    denominator = la_sq + mixed - ha_hb
+    scale = la_sq + abs(mixed) + ha_hb
+    if abs(denominator) < SINGULAR_RTOL * scale:
+        raise _singular("v_lb_sq", denominator, scale)
+    v_lb_sq = v_la_sq * (numerator / denominator)
 
     for name, value in (("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq)):
         if not value > 0:
             raise InfeasibleConfigError(name, value)
-    return NoiseVariances(v_la_sq=v_la_sq, v_ha_sq=v_ha_sq, v_lb_sq=v_lb_sq, v_hb_sq=v_hb_sq)
-
-
-def _relative_difference(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale < _ZERO_SCALE:
-        return abs(lhs - rhs)
-    return abs(lhs - rhs) / scale
+    return NoiseVariances(float(v_la_sq), float(v_ha_sq), float(v_lb_sq), float(v_hb_sq))
 
 
 def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityResiduals:
     """Measure how far a variance set is from securing the configuration.
 
-    Evaluates the three observables in both states and returns the relative
-    difference per observable (absolute when both sides are essentially zero).
-    A configuration is secure when all residuals fall below the caller's
-    tolerance; see SecurityResiduals.within.
+    Evaluates the three observables in both states and returns their
+    scale-free differences. A configuration is secure when all residuals fall
+    below the caller's tolerance; see SecurityResiduals.within. Raises
+    ValidationError when the moments leave the range of a double.
     """
-    lh = theoretical_moments(LineState.LH, quad, variances)
-    hl = theoretical_moments(LineState.HL, quad, variances)
+    i_lh, v_lh, c_lh = wire_moments(quad.r_la, quad.r_hb, variances.v_la_sq, variances.v_hb_sq)
+    i_hl, v_hl, c_hl = wire_moments(quad.r_ha, quad.r_lb, variances.v_ha_sq, variances.v_lb_sq)
+    i_max = i_lh if i_lh > i_hl else i_hl
+    v_max = v_lh if v_lh > v_hl else v_hl
+    correlation_scale = i_max * v_max
+    if not 0.0 < correlation_scale < math.inf:
+        raise ValidationError(f"wire moments {i_max:.3e} A**2, {v_max:.3e} V**2 out of range")
     return SecurityResiduals(
-        current_residual=_relative_difference(lh.current_variance, hl.current_variance),
-        voltage_residual=_relative_difference(lh.voltage_variance, hl.voltage_variance),
-        cross_residual=_relative_difference(lh.cross_moment, hl.cross_moment),
+        float(abs(i_lh - i_hl) / i_max),
+        float(abs(v_lh - v_hl) / v_max),
+        float(abs(c_lh - c_hl) / math.sqrt(correlation_scale)),
     )
 
 

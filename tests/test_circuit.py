@@ -51,6 +51,34 @@ class TestNoiseVariances:
         assert v.connected(LineState.HL) == (2.0, 3.0)
 
 
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (ResistorQuad, ("r_la", "r_ha", "r_lb", "r_hb")),
+        (NoiseVariances, ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq")),
+    ],
+)
+class TestFieldValidation:
+    def test_each_field_is_checked_and_named(self, record, fields):
+        for index, name in enumerate(fields):
+            for bad, problem in (
+                (True, "a real number"),
+                ("1.0", "a real number"),
+                (np.float32(1.0), "a real number"),
+                (-1, "positive and finite"),
+                (float("nan"), "positive and finite"),
+            ):
+                values = [1.0, 2.0, 3.0, 4.0]
+                values[index] = bad
+                with pytest.raises(ValidationError) as excinfo:
+                    record(*values)
+                assert str(excinfo.value) == f"{name} must be {problem}, got {bad!r}"
+
+    def test_accepts_int_float_and_numpy_float(self, record, fields):
+        made = record(1, 2.0, np.float64(3.0), 4)
+        assert tuple(getattr(made, name) for name in fields) == (1, 2.0, 3.0, 4)
+
+
 class TestLineSignals:
     def test_lh_divider(self, small_quad):
         out = line_signals(LineState.LH, small_quad, [1.0], [5.0])

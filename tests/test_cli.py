@@ -104,8 +104,38 @@ class TestCheckCommand:
         )
         assert main(["check", path]) == 0
 
+    def test_fail_names_the_worst_observable_on_stderr(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            variances_v2={"v_la_sq": 1.0, "v_ha_sq": 10.0, "v_lb_sq": 5.0, "v_hb_sq": 9.0},
+        )
+        assert main(["check", path, "--tolerance", "1e-6"]) == 3
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == [
+            "current_residual", "voltage_residual", "cross_residual", "FAIL",
+        ]
+        assert captured.err == (
+            "FAIL: voltage_residual is 0.73000000000000009, not below the tolerance 1e-06; "
+            "the voltage variance differs between the LH and HL states\n"
+        )
+
+    def test_pass_writes_nothing_to_stderr(self, tmp_path, capsys):
+        assert main(["check", write_config(tmp_path), "--solve"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_solve_flag_derives_variances(self, tmp_path):
         assert main(["check", write_config(tmp_path), "--solve"]) == 0
+
+    def test_solve_flag_passes_classic_symmetric_line(self, tmp_path, capsys):
+        # its LH cross moment rounds to -9.5e-22 against an exact 0 in HL
+        low, high = 42362.95641714836, 81083.9104213523
+        path = write_config(
+            tmp_path, resistors_ohm={"r_la": low, "r_ha": high, "r_lb": low, "r_hb": high}
+        )
+        assert main(["check", path, "--solve"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "PASS"
+        assert float(out[2].split(",")[1]) < 1e-15
 
     def test_without_variances_or_flag_exits_1(self, tmp_path):
         assert main(["check", write_config(tmp_path)]) == 1

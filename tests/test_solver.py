@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kljn import (
     InfeasibleConfigError,
@@ -15,6 +17,9 @@ from kljn import (
     solve_variances,
     theoretical_moments,
 )
+from kljn.solver import SINGULAR_RTOL
+
+RESIDUAL_NAMES = ("current_residual", "voltage_residual", "cross_residual")
 
 
 def random_feasible_quads(count, seed):
@@ -131,6 +136,89 @@ class TestSolveVariances:
             assert got.v_lb_sq == pytest.approx(v_lb, rel=1e-9)
 
 
+def reference_solve(quad, v_la_sq):
+    """The closed forms as term tuples summed left to right, checked ratio by ratio.
+
+    A plain transcription of the solver's equations and error reporting,
+    kept as the reference its straight-line form must match bit for bit.
+    """
+
+    def ratio(name, numerator_terms, denominator_terms):
+        denominator = sum(denominator_terms)
+        scale = sum(abs(t) for t in denominator_terms)
+        if abs(denominator) < SINGULAR_RTOL * scale:
+            raise SingularDenominatorError(
+                f"denominator for {name} is {denominator:.3e} against term scale "
+                f"{scale:.3e}; the resistor set is too close to degenerate"
+            )
+        return sum(numerator_terms) / denominator
+
+    r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
+    v_hb = v_la_sq * ratio(
+        "v_hb_sq",
+        (r_lb * (r_ha + r_hb), -r_ha * r_hb, -(r_hb**2)),
+        (r_la**2, r_lb * (r_la - r_ha), -r_ha * r_la),
+    )
+    v_ha = v_la_sq * ratio(
+        "v_ha_sq",
+        (r_ha**2, r_lb * (r_hb + r_ha), r_ha * r_hb),
+        (r_la**2, r_lb * (r_la + r_hb), r_hb * r_la),
+    )
+    v_lb = v_la_sq * ratio(
+        "v_lb_sq",
+        (r_lb**2, r_lb * (r_ha - r_hb), -r_ha * r_hb),
+        (r_la**2, r_la * (r_hb - r_ha), -r_ha * r_hb),
+    )
+    for name, value in (("v_hb_sq", v_hb), ("v_ha_sq", v_ha), ("v_lb_sq", v_lb)):
+        if not value > 0:
+            raise InfeasibleConfigError(name, value)
+    return v_la_sq, v_ha, v_lb, v_hb
+
+
+def outcome(solve, quad, v_la_sq):
+    """Solved variances, or the raised error's type, fields and message."""
+    try:
+        v = solve(quad, v_la_sq)
+    except (InfeasibleConfigError, SingularDenominatorError, OverflowError) as exc:
+        fields = (exc.variance_name, exc.value) if isinstance(exc, InfeasibleConfigError) else ()
+        return type(exc), fields, str(exc)
+    return v if isinstance(v, tuple) else (v.v_la_sq, v.v_ha_sq, v.v_lb_sq, v.v_hb_sq)
+
+
+class TestSolverMatchesReference:
+    def pinned_quads(self):
+        rng = np.random.default_rng(2015)
+        quads = [ResistorQuad(*r) for r in 10.0 ** rng.uniform(2.0, 7.0, size=(1000, 4))]
+        # near-degenerate Alice pairs, one to four ulps apart, either side of Bob's
+        for r_la, r_lb, r_hb in 10.0 ** rng.uniform(2.0, 7.0, size=(40, 3)):
+            r_ha = r_la
+            for _ in range(int(rng.integers(1, 5))):
+                r_ha = math.nextafter(r_ha, math.inf)
+            quads.append(ResistorQuad(r_la, r_ha, r_lb, r_hb))
+        # squares overflow a double
+        quads.append(ResistorQuad(1e200, 2e200, 3e200, 4e200))
+        return quads
+
+    def test_values_and_errors_match_the_reference(self):
+        kinds = set()
+        for quad in self.pinned_quads():
+            for v_la_sq in (1.0, 1e-20):
+                got = outcome(solve_variances, quad, v_la_sq)
+                want = outcome(reference_solve, quad, v_la_sq)
+                assert got == want, (quad, v_la_sq)
+                kinds.add(got[0] if isinstance(got[0], type) else "solved")
+        assert kinds == {"solved", InfeasibleConfigError, SingularDenominatorError, OverflowError}
+
+    def test_numpy_inputs_give_plain_floats_of_the_same_value(self):
+        # the last quad is left out: numpy squares overflow to inf instead of raising
+        for quad in self.pinned_quads()[:-1]:
+            as_numpy = ResistorQuad(*np.array([quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb]))
+            got = outcome(solve_variances, as_numpy, 1.0)
+            assert got == outcome(reference_solve, as_numpy, 1.0)
+            if not isinstance(got[0], type):
+                assert all(type(v) is float for v in got), got
+
+
 class TestCheckSecurity:
     def test_solved_configuration_passes(self, asymmetric_quad, asymmetric_vars):
         residuals = check_security(asymmetric_quad, asymmetric_vars)
@@ -164,6 +252,90 @@ class TestCheckSecurity:
             moments = theoretical_moments(LineState.LH, quad, v)
             scale = high * v.v_la_sq / (low + high) ** 2
             assert abs(moments.cross_moment) < 1e-12 * scale
+
+    def test_item3_set_fails_at_johnson_scale_as_at_lab_scale(self):
+        # voltage variance and cross moment match in both states, the current
+        # variance does not; an absolute floor used to PASS it at 1e-20 V**2
+        quad = ResistorQuad(r_la=1e6, r_ha=1e7, r_lb=5e6, r_hb=9e6)
+        for scale in (1.0, 1e-20):
+            variances = NoiseVariances(*(scale * v for v in (1.0, 4.59, 0.72, 2.0)))
+            residuals = check_security(quad, variances)
+            assert residuals.current_residual == pytest.approx(16 / 75, rel=1e-12)
+            assert residuals.voltage_residual < 1e-15
+            assert residuals.cross_residual < 1e-15
+            assert not residuals.within(1e-9)
+
+    def test_classic_symmetric_solution_passes(self):
+        # the LH cross moment rounds to -9.5e-22 against an exact 0 in HL,
+        # which used to read as a relative cross mismatch of 1
+        quad = ResistorQuad(
+            r_la=42362.95641714836, r_ha=81083.9104213523,
+            r_lb=42362.95641714836, r_hb=81083.9104213523,
+        )
+        residuals = check_security(quad, solve_variances(quad, 1.0))
+        assert residuals.cross_residual < 1e-15
+        assert residuals.within(1e-10)
+
+    def test_residuals_are_plain_floats(self, asymmetric_quad):
+        as_numpy = ResistorQuad(*np.array([1000.0, 10_000.0, 5000.0, 9000.0]))
+        variances = NoiseVariances(*np.array([1.0, 10.0, 5.0, 9.0]))
+        residuals = check_security(as_numpy, variances)
+        assert all(type(getattr(residuals, name)) is float for name in RESIDUAL_NAMES)
+        assert residuals == check_security(
+            asymmetric_quad, NoiseVariances(1.0, 10.0, 5.0, 9.0)
+        )
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e300])
+    def test_moments_outside_double_range_are_rejected(self, asymmetric_quad, scale):
+        with pytest.raises(ValidationError, match="out of range"):
+            check_security(asymmetric_quad, NoiseVariances(*(scale * v for v in (1, 2, 3, 4))))
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda e: 10.0**e)
+
+
+resistances = log_uniform(2.0, 7.0)
+variances_v2 = log_uniform(-20.0, 0.0)
+
+
+class TestCheckSecurityProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        r=st.tuples(resistances, resistances, resistances, resistances),
+        v=st.tuples(variances_v2, variances_v2, variances_v2, variances_v2),
+        a=log_uniform(-25.0, 25.0),
+        b=log_uniform(-4.0, 4.0),
+    )
+    def test_residuals_do_not_depend_on_physical_scale(self, r, v, a, b):
+        assume(r[0] != r[1] and r[2] != r[3])
+        base = check_security(ResistorQuad(*r), NoiseVariances(*v))
+        for scaled in (
+            check_security(ResistorQuad(*r), NoiseVariances(*(a * x for x in v))),
+            check_security(ResistorQuad(*(b * x for x in r)), NoiseVariances(*v)),
+        ):
+            for name in RESIDUAL_NAMES:
+                assert getattr(scaled, name) == pytest.approx(getattr(base, name), rel=1e-12)
+            assert scaled.within(1e-9) == base.within(1e-9)
+
+    @PROPERTY_SETTINGS
+    @given(
+        r=st.tuples(resistances, resistances, resistances, resistances),
+        v_la_sq=st.sampled_from([1.0, 1e-20]),
+        symmetric=st.booleans(),
+    )
+    def test_solved_sets_pass(self, r, v_la_sq, symmetric):
+        r_la, r_ha, r_lb, r_hb = (r[0], r[1], r[0], r[1]) if symmetric else r
+        # the closed forms lose the digits Alice's pair shares (their
+        # denominators carry a factor r_la - r_ha), so keep it 0.01 % apart
+        assume(abs(r_la - r_ha) > 1e-4 * max(r_la, r_ha) and r_lb != r_hb)
+        quad = ResistorQuad(r_la, r_ha, r_lb, r_hb)
+        assume(is_feasible(quad, v_la_sq))
+        residuals = check_security(quad, solve_variances(quad, v_la_sq))
+        assert residuals.within(1e-10), (quad, residuals)
 
 
 class TestIsFeasible:
