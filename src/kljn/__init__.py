@@ -39,8 +39,6 @@ from .noise import (
 )
 from .simulation import (
     BerEntry,
-    BerReport,
-    BitStats,
     ExchangeResult,
     HistogramData,
     Indicator,
@@ -51,7 +49,6 @@ from .simulation import (
     histogram,
     run_exchange,
     scatter_trace,
-    simulate_bit,
 )
 from .solver import (
     Feasibility,
@@ -67,8 +64,6 @@ __all__ = [
     "BOLTZMANN_J_PER_K",
     "GENERATOR_ALGORITHM",
     "BerEntry",
-    "BerReport",
-    "BitStats",
     "DegenerateInputError",
     "EmptyInputError",
     "ExchangeResult",
@@ -101,7 +96,6 @@ __all__ = [
     "line_signals",
     "run_exchange",
     "scatter_trace",
-    "simulate_bit",
     "solve_variances",
     "stream_id_for",
     "theoretical_moments",

@@ -14,11 +14,9 @@ and parallel execution cannot change results.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -83,16 +81,6 @@ class SimConfig:
             raise ValidationError(f"state_policy must be a StatePolicy, got {self.state_policy!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BitStats:
-    """Eavesdropper statistics of a single bit window."""
-
-    true_state: LineState
-    var_v: float  # sample variance of v_e, V**2
-    var_i: float  # sample variance of i_e, A**2
-    cross: float  # sample mean of v_e * i_e, V*A
-
-
 def _connected_columns(pair_of, hl_flags: np.ndarray) -> np.ndarray:
     """(alice, bob) values of a per-state pair as two columns, one row per bit."""
     return np.where(hl_flags[:, None], pair_of(LineState.HL), pair_of(LineState.LH)).T[..., None]
@@ -142,16 +130,10 @@ def _bit_window(
     return _wire_signals(config, bit_index, np.array([state is LineState.HL]))
 
 
-def simulate_bit(state: LineState, config: SimConfig, bit_index: int) -> BitStats:
-    """Synthesize one bit window and return the eavesdropper's statistics."""
-    var_v, var_i, cross = _window_moments(*_bit_window(state, config, bit_index))[:, 0].tolist()
-    return BitStats(true_state=state, var_v=var_v, var_i=var_i, cross=cross)
-
-
 def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
     """Raw (v_e, i_e) pairs of one bit window, shape (samples_per_bit, 2).
 
-    Exactly the samples simulate_bit reduces for the same arguments.
+    Exactly the samples run_exchange reduces to that bit's statistics.
     """
     v_e, i_e = _bit_window(state, config, bit_index)
     return np.column_stack([v_e[0], i_e[0]])
@@ -165,62 +147,37 @@ def assign_states(config: SimConfig) -> np.ndarray:
     return coin.random(config.num_bits) >= 0.5
 
 
-class ExchangeResult(Sequence):
-    """Per-bit eavesdropper statistics of a whole run, ordered by bit index.
+# eq=False: identity equality, since == on array columns has no single truth value
+@dataclass(frozen=True, slots=True, eq=False)
+class ExchangeResult:
+    """Per-bit eavesdropper statistics of a whole run as read-only columns, by bit index."""
 
-    A sequence of BitStats backed by columnar arrays, so million-bit runs
-    stay at a few dozen bytes per bit.
-    """
+    hl_mask: np.ndarray  # True where the bit's true state is HL
+    var_v: np.ndarray  # sample variance of v_e, V**2
+    var_i: np.ndarray  # sample variance of i_e, A**2
+    cross: np.ndarray  # sample mean of v_e * i_e, V*A
 
-    def __init__(
-        self, hl_mask: np.ndarray, var_v: np.ndarray, var_i: np.ndarray, cross: np.ndarray
-    ):
-        hl_mask = np.asarray(hl_mask, dtype=bool)
-        var_v = np.asarray(var_v, dtype=np.float64)
-        var_i = np.asarray(var_i, dtype=np.float64)
-        cross = np.asarray(cross, dtype=np.float64)
-        if not hl_mask.shape == var_v.shape == var_i.shape == cross.shape:
+    def __post_init__(self) -> None:
+        for name in ("hl_mask", "var_v", "var_i", "cross"):
+            # a read-only view, so the caller's array keeps its own flags
+            column = np.asarray(getattr(self, name), bool if name == "hl_mask" else np.float64)
+            column = column.view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not self.hl_mask.shape == self.var_v.shape == self.var_i.shape == self.cross.shape:
             raise ValidationError("exchange columns must all have the same length")
-
-        def _frozen(column: np.ndarray) -> np.ndarray:
-            view = column.view()
-            view.flags.writeable = False
-            return view
-
-        self._hl_mask = _frozen(hl_mask)
-        self._var_v = _frozen(var_v)
-        self._var_i = _frozen(var_i)
-        self._cross = _frozen(cross)
-
-    def __len__(self) -> int:
-        return self._hl_mask.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(index)
-        return BitStats(
-            true_state=LineState.HL if self._hl_mask[i] else LineState.LH,
-            var_v=float(self._var_v[i]),
-            var_i=float(self._var_i[i]),
-            cross=float(self._cross[i]),
-        )
 
     def state_mask(self, state: LineState) -> np.ndarray:
         """Boolean mask of the bits whose true state is ``state``."""
-        return self._hl_mask if state is LineState.HL else ~self._hl_mask
+        return self.hl_mask if state is LineState.HL else ~self.hl_mask
 
     def indicator_values(self, indicator: Indicator) -> np.ndarray:
         """All bits' values of one indicator, ordered by bit index."""
         if indicator is Indicator.CURRENT_VARIANCE:
-            return self._var_i
+            return self.var_i
         if indicator is Indicator.VOLTAGE_VARIANCE:
-            return self._var_v
-        return self._cross
+            return self.var_v
+        return self.cross
 
 
 def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
@@ -261,21 +218,12 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     return ExchangeResult(hl_mask, *columns)
 
 
-BitStatsLike = Union[ExchangeResult, Iterable[BitStats]]
-
-
-def _pooled(stats: BitStatsLike, indicator: Indicator) -> tuple[np.ndarray, np.ndarray]:
-    """(values, hl_mask) for any sequence of BitStats; the values must be finite."""
-    if not isinstance(stats, ExchangeResult):
-        stats = list(stats)
-        stats = ExchangeResult(
-            [s.true_state is LineState.HL for s in stats],
-            *([getattr(s, name) for s in stats] for name in ("var_v", "var_i", "cross")),
-        )
-    values = stats.indicator_values(indicator)
+def _pooled(result: ExchangeResult, indicator: Indicator) -> tuple[np.ndarray, np.ndarray]:
+    """(values, hl_mask) of one indicator; the values must be finite."""
+    values = result.indicator_values(indicator)
     if not np.isfinite(values).all():
         raise ValidationError(f"{indicator.value} values must all be finite")
-    return values, stats.state_mask(LineState.HL)
+    return values, result.hl_mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -290,23 +238,7 @@ class BerEntry:
     bits_hl: int
 
 
-@dataclass(frozen=True, slots=True)
-class BerReport:
-    """BerEntry for each of the three indicators."""
-
-    entries: tuple[BerEntry, ...]
-
-    def entry(self, indicator: Indicator) -> BerEntry:
-        for entry in self.entries:
-            if entry.indicator is indicator:
-                return entry
-        raise KeyError(indicator)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def estimate_ber(stats: BitStatsLike, indicator: Indicator) -> BerEntry:
+def estimate_ber(result: ExchangeResult, indicator: Indicator) -> BerEntry:
     """Median-threshold classification quality of one indicator.
 
     Pools every bit's indicator value, thresholds at the pooled median
@@ -315,7 +247,7 @@ def estimate_ber(stats: BitStatsLike, indicator: Indicator) -> BerEntry:
 
     Raises DegenerateInputError unless both states are present.
     """
-    values, hl_mask = _pooled(stats, indicator)
+    values, hl_mask = _pooled(result, indicator)
     bits_hl = int(np.count_nonzero(hl_mask))
     bits_lh = int(values.size - bits_hl)
     if bits_lh == 0 or bits_hl == 0:
@@ -336,9 +268,9 @@ def estimate_ber(stats: BitStatsLike, indicator: Indicator) -> BerEntry:
     )
 
 
-def ber_report(stats: BitStatsLike) -> BerReport:
-    """estimate_ber over all three indicators."""
-    return BerReport(tuple(estimate_ber(stats, indicator) for indicator in Indicator))
+def ber_report(result: ExchangeResult) -> tuple[BerEntry, ...]:
+    """estimate_ber over all three indicators, in Indicator order."""
+    return tuple(estimate_ber(result, indicator) for indicator in Indicator)
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,23 +281,19 @@ class HistogramData:
     counts_lh: np.ndarray
     counts_hl: np.ndarray
 
-    def __post_init__(self) -> None:
-        for column in ("edges", "counts_lh", "counts_hl"):
-            object.__setattr__(self, column, np.asarray(getattr(self, column)))
 
-
-def histogram(stats: BitStatsLike, indicator: Indicator, bin_count: int) -> HistogramData:
+def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> HistogramData:
     """Histogram one indicator separately per true state over shared bins.
 
     Bin edges span the pooled min..max uniformly, so the two states'
     distributions are directly comparable bin by bin. Every bit lands in
     exactly one bin.
     """
-    if not isinstance(bin_count, int) or bin_count < 1:
+    if isinstance(bin_count, bool) or not isinstance(bin_count, int) or bin_count < 1:
         raise ValidationError(f"bin_count must be a positive integer, got {bin_count!r}")
-    values, hl_mask = _pooled(stats, indicator)
+    values, hl_mask = _pooled(result, indicator)
     if values.size == 0:
-        raise DegenerateInputError("cannot histogram an empty statistics sequence")
+        raise DegenerateInputError("cannot histogram an empty exchange result")
     low = float(values.min())
     high = float(values.max())
     if low == high:

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kljn
 from kljn.cli import main
 
 ASYMMETRIC = {"r_la": 1000.0, "r_ha": 10_000.0, "r_lb": 5000.0, "r_hb": 9000.0}
@@ -277,6 +282,30 @@ class TestRunCommand:
             num_bits=10,
         )
         assert main(["run", config, str(tmp_path / "leaky"), "--threads", "1"]) == 0
+
+
+class TestOverflowingResistances:
+    # squaring a resistance near 1e200 ohm overflows the float range
+    HUGE = {"r_la": 1e200, "r_ha": 2e200, "r_lb": 3e200, "r_hb": 4e200}
+    VARIANCES = {"v_la_sq": 1.0, "v_ha_sq": 2.0, "v_lb_sq": 3.0, "v_hb_sq": 4.0}
+
+    @pytest.mark.parametrize(
+        "command", [["solve"], ["check", "--solve"], ["check"]], ids=" ".join
+    )
+    def test_one_line_error_and_exit_1(self, tmp_path, command):
+        path = write_config(tmp_path, resistors_ohm=self.HUGE, variances_v2=self.VARIANCES)
+        env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "kljn", command[0], path, *command[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestUsageErrors:

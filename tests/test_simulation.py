@@ -1,10 +1,10 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
 from kljn import (
-    BitStats,
     DegenerateInputError,
     ExchangeResult,
     Indicator,
@@ -17,7 +17,6 @@ from kljn import (
     histogram,
     run_exchange,
     scatter_trace,
-    simulate_bit,
     theoretical_moments,
 )
 from kljn.simulation import _BLOCK_SAMPLES, assign_states
@@ -40,21 +39,19 @@ def small_result(small_config):
 
 
 def synthetic_bits(lh_values, hl_values, indicator):
-    """BitStats whose chosen indicator takes the given values per state."""
+    """ExchangeResult whose chosen indicator takes the given values per state.
 
-    def build(state, value):
-        fields = {"var_v": 1.0, "var_i": 1.0, "cross": 0.0}
-        key = {
-            Indicator.CURRENT_VARIANCE: "var_i",
-            Indicator.VOLTAGE_VARIANCE: "var_v",
-            Indicator.CROSS_CORRELATION: "cross",
-        }[indicator]
-        fields[key] = value
-        return BitStats(true_state=state, **fields)
-
-    return [build(LineState.LH, v) for v in lh_values] + [
-        build(LineState.HL, v) for v in hl_values
-    ]
+    The LH bits come first; the other two indicators are constant.
+    """
+    size = len(lh_values) + len(hl_values)
+    columns = {"var_v": np.ones(size), "var_i": np.ones(size), "cross": np.zeros(size)}
+    key = {
+        Indicator.CURRENT_VARIANCE: "var_i",
+        Indicator.VOLTAGE_VARIANCE: "var_v",
+        Indicator.CROSS_CORRELATION: "cross",
+    }[indicator]
+    columns[key] = [*lh_values, *hl_values]
+    return ExchangeResult([False] * len(lh_values) + [True] * len(hl_values), **columns)
 
 
 class TestSimConfig:
@@ -82,33 +79,38 @@ class TestSimConfig:
 
 
 class TestSimulateBit:
+    """One bit regenerated in isolation with scatter_trace."""
+
     def test_deterministic(self, small_config):
-        first = simulate_bit(LineState.LH, small_config, 5)
-        second = simulate_bit(LineState.LH, small_config, 5)
-        assert first == second
+        first = scatter_trace(LineState.LH, small_config, 5)
+        second = scatter_trace(LineState.LH, small_config, 5)
+        assert np.array_equal(first, second)
 
     def test_distinct_bits_differ(self, small_config):
-        assert simulate_bit(LineState.LH, small_config, 0) != simulate_bit(
-            LineState.LH, small_config, 1
+        assert not np.array_equal(
+            scatter_trace(LineState.LH, small_config, 0),
+            scatter_trace(LineState.LH, small_config, 1),
         )
 
     def test_bit_index_bounds(self, small_config):
         with pytest.raises(ValidationError):
-            simulate_bit(LineState.LH, small_config, -1)
+            scatter_trace(LineState.LH, small_config, -1)
         with pytest.raises(ValidationError):
-            simulate_bit(LineState.LH, small_config, small_config.num_bits)
+            scatter_trace(LineState.LH, small_config, small_config.num_bits)
         for bad in (1.5, True):
             with pytest.raises(ValidationError):
-                simulate_bit(LineState.LH, small_config, bad)
+                scatter_trace(LineState.LH, small_config, bad)
 
-    def test_statistics_definition(self, small_config):
+    def test_statistics_definition(self, small_config, small_result):
         # the reported numbers are the (n-1) variances and the raw product
-        # mean of the reconstructed window
+        # mean of the reconstructed window; bit 3 is HL under the alternate policy
         pairs = scatter_trace(LineState.HL, small_config, 3)
-        stats = simulate_bit(LineState.HL, small_config, 3)
-        assert stats.var_v == pytest.approx(pairs[:, 0].var(ddof=1), rel=1e-15)
-        assert stats.var_i == pytest.approx(pairs[:, 1].var(ddof=1), rel=1e-15)
-        assert stats.cross == pytest.approx((pairs[:, 0] * pairs[:, 1]).mean(), rel=1e-15)
+        assert small_result.hl_mask[3]
+        assert small_result.var_v[3] == pytest.approx(pairs[:, 0].var(ddof=1), rel=1e-15)
+        assert small_result.var_i[3] == pytest.approx(pairs[:, 1].var(ddof=1), rel=1e-15)
+        assert small_result.cross[3] == pytest.approx(
+            (pairs[:, 0] * pairs[:, 1]).mean(), rel=1e-15
+        )
 
     def test_mean_statistics_track_theory(self, asymmetric_quad, asymmetric_vars):
         config = SimConfig(
@@ -140,12 +142,7 @@ class TestRunExchange:
             master_seed=3,
         )
         result = run_exchange(config)
-        assert [bit.true_state for bit in result] == [
-            LineState.LH,
-            LineState.HL,
-            LineState.LH,
-            LineState.HL,
-        ]
+        assert result.hl_mask.tolist() == [False, True, False, True]
 
     def test_repeat_runs_identical(self, small_config, small_result):
         again = run_exchange(small_config)
@@ -155,9 +152,15 @@ class TestRunExchange:
             )
 
     def test_matches_per_bit_simulation(self, small_config, small_result):
+        hl_mask, columns, windows = reference_run(small_config)
         for i in (0, 1, 17, 79):
-            bit = small_result[i]
-            assert bit == simulate_bit(bit.true_state, small_config, i)
+            assert small_result.hl_mask[i] == hl_mask[i]
+            got = [small_result.var_v[i], small_result.var_i[i], small_result.cross[i]]
+            assert got == columns[:, i].tolist()
+            state = LineState.HL if hl_mask[i] else LineState.LH
+            assert np.array_equal(
+                scatter_trace(state, small_config, i), np.column_stack(windows[i])
+            )
 
     def test_parallel_equals_serial(self, small_config, small_result):
         parallel = run_exchange(small_config, threads=2)
@@ -169,14 +172,6 @@ class TestRunExchange:
                 parallel.indicator_values(indicator),
                 small_result.indicator_values(indicator),
             )
-
-    def test_sequence_protocol(self, small_result):
-        assert len(small_result) == 80
-        assert small_result[-1] == small_result[79]
-        assert small_result[2:4] == [small_result[2], small_result[3]]
-        assert isinstance(next(iter(small_result)), BitStats)
-        with pytest.raises(IndexError):
-            small_result[80]
 
     def test_random_policy_is_roughly_balanced(self, asymmetric_quad, asymmetric_vars):
         config = SimConfig(
@@ -201,8 +196,7 @@ class TestRunExchange:
             state_policy=StatePolicy.RANDOM,
         )
         result = run_exchange(config)
-        states = {bit.true_state for bit in result}
-        assert states == {LineState.LH, LineState.HL}
+        assert set(result.hl_mask.tolist()) == {False, True}
 
     def test_rejects_negative_threads(self, small_config):
         with pytest.raises(ValidationError):
@@ -212,6 +206,43 @@ class TestRunExchange:
     def test_rejects_non_integer_threads(self, small_config, threads):
         with pytest.raises(ValidationError):
             run_exchange(small_config, threads=threads)
+
+
+class TestExchangeResult:
+    def test_unequal_lengths_rejected(self):
+        columns = [[False, True], [1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]
+        for short in range(4):
+            bad = [column[:1] if k == short else column for k, column in enumerate(columns)]
+            with pytest.raises(ValidationError):
+                ExchangeResult(*bad)
+
+    def test_columns_are_read_only(self):
+        var_v = np.array([1.0, 2.0])
+        result = ExchangeResult([False, True], var_v, [3.0, 4.0], [0.5, -0.5])
+        for column in (result.hl_mask, result.var_v, result.var_i, result.cross):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.var_v = var_v
+        # the caller's own array stays writable
+        var_v[0] = 9.0
+        assert result.var_v.tolist() == [9.0, 2.0]
+
+    def test_columns_take_their_dtypes(self):
+        result = ExchangeResult([0, 1], [1, 2], [3, 4], [5, 6])
+        assert result.hl_mask.dtype == np.bool_
+        for column in (result.var_v, result.var_i, result.cross):
+            assert column.dtype == np.float64
+
+    def test_accessors_return_the_matching_columns(self):
+        result = ExchangeResult(
+            [False, True, True], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]
+        )
+        assert result.indicator_values(Indicator.VOLTAGE_VARIANCE) is result.var_v
+        assert result.indicator_values(Indicator.CURRENT_VARIANCE) is result.var_i
+        assert result.indicator_values(Indicator.CROSS_CORRELATION) is result.cross
+        assert result.state_mask(LineState.HL) is result.hl_mask
+        assert result.state_mask(LineState.LH).tolist() == [True, False, False]
 
 
 class TestEstimateBer:
@@ -235,7 +266,7 @@ class TestEstimateBer:
         with pytest.raises(DegenerateInputError):
             estimate_ber(bits, Indicator.CURRENT_VARIANCE)
         with pytest.raises(DegenerateInputError):
-            estimate_ber([], Indicator.CURRENT_VARIANCE)
+            estimate_ber(ExchangeResult([], [], [], []), Indicator.CURRENT_VARIANCE)
 
     def test_indicators_are_independent_columns(self):
         # the chosen indicator separates perfectly, the others see constants
@@ -245,18 +276,13 @@ class TestEstimateBer:
 
     def test_works_on_exchange_result(self, small_result):
         entry = estimate_ber(small_result, Indicator.CROSS_CORRELATION)
-        assert entry.bits_lh + entry.bits_hl == len(small_result)
+        assert entry.bits_lh + entry.bits_hl == small_result.hl_mask.size
         assert 0.0 <= entry.ber <= 1.0
-
-    def test_columnar_and_list_paths_agree(self, small_result):
-        as_list = list(small_result)
-        for indicator in Indicator:
-            assert estimate_ber(as_list, indicator) == estimate_ber(small_result, indicator)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, small_result, bad):
         bits = synthetic_bits([1.0, bad], [3.0, 4.0], Indicator.CROSS_CORRELATION)
-        n = len(small_result)
+        n = small_result.hl_mask.size
         cross = np.where(np.arange(n) == 7, bad, 0.0)
         hl_mask = small_result.state_mask(LineState.HL)
         columns = ExchangeResult(hl_mask, np.ones(n), np.ones(n), cross)
@@ -301,16 +327,17 @@ class TestHistogram:
     def test_counts_cover_every_bit(self, small_result):
         for indicator in Indicator:
             hist = histogram(small_result, indicator, 13)
-            assert hist.counts_lh.sum() + hist.counts_hl.sum() == len(small_result)
+            assert hist.counts_lh.sum() + hist.counts_hl.sum() == small_result.hl_mask.size
             assert hist.edges.size == 14
 
     def test_empty_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            histogram([], Indicator.CURRENT_VARIANCE, 4)
+            histogram(ExchangeResult([], [], [], []), Indicator.CURRENT_VARIANCE, 4)
 
     def test_bad_bin_count(self, small_result):
-        with pytest.raises(ValidationError):
-            histogram(small_result, Indicator.CURRENT_VARIANCE, 0)
+        for bad in (0, True, 1.5):
+            with pytest.raises(ValidationError):
+                histogram(small_result, Indicator.CURRENT_VARIANCE, bad)
 
 
 class TestScatterTrace:
@@ -422,10 +449,12 @@ class TestKernelMatchesPerBitReference:
     def test_single_bit_calls(self, asymmetric_quad, asymmetric_vars, policy, samples, seed):
         config = kernel_config(asymmetric_quad, asymmetric_vars, policy, samples, seed)
         hl_mask, columns, windows = reference_run(config)
+        result = run_exchange(config)
         last = config.num_bits - 1
         for bit in (0, 1, _BLOCK_SAMPLES // samples, last):
             state = LineState.HL if hl_mask[bit] else LineState.LH
             v_e, i_e = windows[bit]
             assert np.array_equal(scatter_trace(state, config, bit), np.column_stack([v_e, i_e]))
-            want = BitStats(state, *columns[:, bit].tolist())
-            assert simulate_bit(state, config, bit) == want
+            assert result.hl_mask[bit] == hl_mask[bit]
+            got = [result.var_v[bit], result.var_i[bit], result.cross[bit]]
+            assert got == columns[:, bit].tolist()
