@@ -147,19 +147,22 @@ def line_signals(
         )
     if v_a.size == 0:
         raise EmptyInputError("source sample sequences are empty")
-    v_e, i_e = superpose(*quad.connected(state), v_a, v_b)
+    v_e, i_e = superpose(*quad.connected(state), v_a, v_b, np.empty_like(v_a))
     return LineSignals(v_e=v_e, i_e=i_e)
 
 
-def superpose(r_a, r_b, v_a: np.ndarray, v_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def superpose(
+    r_a, r_b, v_a: np.ndarray, v_b: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Wire (v_e, i_e) of sources v_a, v_b behind resistances r_a, r_b (see line_signals).
 
-    Elementwise with broadcasting, so per-row resistance columns combine a
-    whole block of windows in one call. Works in place to bound memory:
-    v_e and i_e are returned in the buffers of v_a and v_b.
+    Elementwise, so one call combines a whole block of windows of one state.
+    Allocates no sample array: v_e and i_e are returned in the buffers of v_a
+    and v_b, and ``scratch``, shaped like them, is overwritten with Bob's term
+    r_a * v_b.
     """
     loop_resistance = r_a + r_b
-    bob_term = r_a * v_b
+    bob_term = np.multiply(r_a, v_b, out=scratch)
     v_b -= v_a
     v_b /= loop_resistance
     v_a *= r_b

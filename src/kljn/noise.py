@@ -84,13 +84,17 @@ def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 
-def standard_normal_streams(master_seed: int, stream_ids: np.ndarray, samples: int) -> np.ndarray:
-    """Unit-variance draws of many streams, shape ``stream_ids.shape + (samples,)``.
+def standard_normal_streams(
+    master_seed: int, stream_ids: np.ndarray, samples: int, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with unit-variance draws of many streams, ``stream_ids.shape + (samples,)``.
 
     Each stream's samples are bit for bit those of
     ``StreamSeed(master_seed, stream_id).generator().standard_normal(samples)``:
     one Philox is re-keyed per stream with a zeroed counter, which costs a
-    fraction of building a generator per stream.
+    fraction of building a generator per stream. ``out`` must be a writable,
+    C-contiguous float64 array, so that no row is drawn into a copy; it is
+    returned.
     """
     _require_uint64("master_seed", master_seed)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
@@ -98,6 +102,17 @@ def standard_normal_streams(master_seed: int, stream_ids: np.ndarray, samples: i
     stream_ids = np.asarray(stream_ids)
     if stream_ids.size and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
         raise ValidationError("stream ids must be unsigned 64-bit integers")
+    shape = stream_ids.shape + (samples,)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == np.float64
+        and out.shape == shape
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise ValidationError(
+            f"out must be a writable C-contiguous float64 array of shape {shape}"
+        )
     key = [master_seed, 0]
     fresh_stream = {
         "bit_generator": "Philox",
@@ -109,8 +124,9 @@ def standard_normal_streams(master_seed: int, stream_ids: np.ndarray, samples: i
     }
     bit_generator = np.random.Philox()
     draw = np.random.Generator(bit_generator).standard_normal
-    out = np.empty(stream_ids.shape + (samples,))
-    for row, stream_id in zip(out.reshape(stream_ids.size, samples), stream_ids.ravel().tolist()):
+    rows = out.reshape(stream_ids.size, samples)
+    # a memoryview yields the ids as Python ints one at a time, with no list of them all
+    for row, stream_id in zip(rows, memoryview(stream_ids.astype(np.uint64, copy=False).ravel())):
         key[1] = stream_id
         bit_generator.state = fresh_stream
         draw(out=row)

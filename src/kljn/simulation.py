@@ -13,6 +13,7 @@ and parallel execution cannot change results.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,9 +41,14 @@ from .noise import (
 from .circuit import line_signals  # noqa: F401
 from .noise import gaussian_block  # noqa: F401
 
-# Samples per source array in one kernel block (128 KiB of float64): keeps
-# the kernel's working set to a few such arrays at any window length.
+# Samples per source array in one kernel block (128 KiB of float64): a chunk's
+# buffers hold three such arrays at any window length.
 _BLOCK_SAMPLES = 16_384
+
+
+# Generator slots of the connected (alice, bob) sources in each state, as columns
+_LH_SLOTS = np.array([[GEN_LA], [GEN_HB]], dtype=np.uint64)
+_HL_SLOTS = np.array([[GEN_HA], [GEN_LB]], dtype=np.uint64)
 
 
 class StatePolicy(Enum):
@@ -81,38 +87,68 @@ class SimConfig:
             raise ValidationError(f"state_policy must be a StatePolicy, got {self.state_policy!r}")
 
 
-def _connected_columns(pair_of, hl_flags: np.ndarray) -> np.ndarray:
-    """(alice, bob) values of a per-state pair as two columns, one row per bit."""
-    return np.where(hl_flags[:, None], pair_of(LineState.HL), pair_of(LineState.LH)).T[..., None]
+def _stream_ids(bits: np.ndarray, hl_flags: np.ndarray) -> np.ndarray:
+    """Stream ids of the connected (alice, bob) sources of ``bits``, shape (2, bits)."""
+    stream_ids = np.where(hl_flags, _HL_SLOTS, _LH_SLOTS)
+    stream_ids += bits.astype(np.uint64) * np.uint64(STREAM_STRIDE)
+    return stream_ids
 
 
 def _wire_signals(
-    config: SimConfig, start: int, hl_flags: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Wire (v_e, i_e) windows of bits [start, start + len(hl_flags)), one row per bit.
+    config: SimConfig,
+    bits: np.ndarray,
+    hl_flags: np.ndarray,
+    draws: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Wire (v_e, i_e) windows of ``bits``, one row per bit, in state HL where hl_flags.
 
-    Row r is bit start + r, in state HL where hl_flags[r]. Its sources are that
-    bit's connected streams and go through line_signals' expressions, so every
-    row is bit-identical to the bit simulated alone.
+    hl_flags must be sorted, the LH bits first, so that each state's resistances
+    and variances act on one run of rows as scalars. Every row goes through
+    line_signals' expressions and is bit-identical to the bit simulated alone.
+    The sources are drawn into ``draws`` (C-contiguous, shape (2, bits,
+    samples_per_bit)), which is returned holding v_e and i_e; ``scratch``
+    (bits, samples_per_bit) is overwritten.
     """
-    stream_id_for(start + hl_flags.size - 1, GEN_HB)  # the block's largest id fits 64 bits
-    bit_ids = np.arange(start, start + hl_flags.size, dtype=np.uint64) * np.uint64(STREAM_STRIDE)
-    slots = np.where(hl_flags, [[GEN_HA], [GEN_LB]], [[GEN_LA], [GEN_HB]]).astype(np.uint64)
     n = config.samples_per_bit
-    alice, bob = standard_normal_streams(config.master_seed, bit_ids + slots, n)
-    s_a, s_b = _connected_columns(config.variances.connected, hl_flags)
-    alice *= np.sqrt(s_a)
-    bob *= np.sqrt(s_b)
-    return superpose(*_connected_columns(config.quad.connected, hl_flags), alice, bob)
+    standard_normal_streams(config.master_seed, _stream_ids(bits, hl_flags), n, draws)
+    lh_count = hl_flags.size - int(np.count_nonzero(hl_flags))
+    for state, rows in ((LineState.LH, slice(0, lh_count)), (LineState.HL, slice(lh_count, None))):
+        alice, bob = draws[:, rows]
+        s_a, s_b = config.variances.connected(state)
+        alice *= math.sqrt(s_a)
+        bob *= math.sqrt(s_b)
+        superpose(*config.quad.connected(state), alice, bob, scratch[rows])
+    return draws
 
 
-def _window_moments(v_e: np.ndarray, i_e: np.ndarray) -> np.ndarray:
-    """(var_v, var_i, cross) of every window, shape (3, windows)."""
-    # Unbiased (n-1) variances; raw mean for the cross moment since the
-    # sources are zero-mean by construction.
-    return np.stack(
-        [np.var(v_e, axis=1, ddof=1), np.var(i_e, axis=1, ddof=1), np.mean(v_e * i_e, axis=1)]
-    )
+def _window_moments(
+    v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.ndarray, mean: np.ndarray
+) -> None:
+    """Write (var_v, var_i, cross) of every window into the rows of ``out`` (3, windows).
+
+    Repeats the ufunc sequence of numpy's own ``np.mean`` and ``np.var(ddof=1)``
+    along axis 1 on arrays of the same layout, so the pairwise sums, and with
+    them every bit, are theirs. v_e and i_e are centred in place; ``prod``
+    (windows, samples) and ``mean`` (windows, 1) are scratch.
+    """
+    n = v_e.shape[1]
+    var_v, var_i, cross = out
+    # raw mean for the cross moment, since the sources are zero-mean by construction
+    np.multiply(v_e, i_e, out=prod)
+    np.add.reduce(prod, axis=1, out=cross)
+    np.true_divide(cross, n, out=cross)
+    # unbiased (n-1) variances
+    for window, variance in ((v_e, var_v), (i_e, var_i)):
+        np.add.reduce(window, axis=1, keepdims=True, out=mean)
+        np.true_divide(mean, n, out=mean)
+        # subtract a full-size copy of the row means: numpy's ufuncs would
+        # allocate an iterator buffer and run slower for a broadcast operand
+        prod[...] = mean
+        np.subtract(window, prod, out=window)
+        np.square(window, out=window)
+        np.add.reduce(window, axis=1, out=variance)
+        np.true_divide(variance, n - 1, out=variance)
 
 
 def _bit_window(
@@ -127,7 +163,12 @@ def _bit_window(
         raise ValidationError(
             f"bit_index must be an integer in [0, {config.num_bits}), got {bit_index!r}"
         )
-    return _wire_signals(config, bit_index, np.array([state is LineState.HL]))
+    stream_id_for(bit_index, GEN_HB)  # the bit's largest stream id fits 64 bits
+    n = config.samples_per_bit
+    hl_flags = np.array([state is LineState.HL])
+    return _wire_signals(
+        config, np.array([bit_index]), hl_flags, np.empty((2, 1, n)), np.empty((1, n))
+    )
 
 
 def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
@@ -181,13 +222,32 @@ class ExchangeResult:
 
 
 def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
-    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); process-pool worker."""
-    rows = max(1, _BLOCK_SAMPLES // config.samples_per_bit)
+    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); process-pool worker.
+
+    The working buffers are allocated once, for one block, and every block
+    draws, combines and reduces in them, so the chunk's memory does not churn.
+    """
+    stream_id_for(start + hl_flags.size - 1, GEN_HB)  # the chunk's largest stream id fits 64 bits
+    n = config.samples_per_bit
+    rows = min(max(1, _BLOCK_SAMPLES // n), hl_flags.size)
+    draws = np.empty(2 * rows * n)
+    prod = np.empty((rows, n))
+    mean = np.empty((rows, 1))
     columns = np.empty((3, hl_flags.size))
     for offset in range(0, hl_flags.size, rows):
-        # one expression, so a block's signals are freed before the next is drawn
-        block = slice(offset, offset + rows)
-        columns[:, block] = _window_moments(*_wire_signals(config, start + offset, hl_flags[block]))
+        flags = hl_flags[offset : offset + rows]
+        k = flags.size
+        # the block's rows hold its LH bits, then its HL bits
+        order = np.concatenate((np.flatnonzero(~flags), np.flatnonzero(flags)))
+        bits = start + offset + order
+        # a short last block views the first 2*k*n draws: a [:, :k] slice of a
+        # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy
+        v_e, i_e = _wire_signals(
+            config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
+        )
+        block = columns[:, offset : offset + k]
+        _window_moments(v_e, i_e, block, prod[:k], mean[:k])
+        block[:, order] = block.copy()  # column j was computed for bit offset + order[j]
     return columns
 
 

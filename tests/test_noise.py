@@ -126,33 +126,64 @@ class TestStandardNormalStreams:
     @pytest.mark.parametrize("master_seed", [0, 77, 2**64 - 1])
     def test_each_row_is_its_own_stream(self, master_seed):
         ids = [[0, 2**64 - 1, 9], [9, 3, 2**63]]
-        rows = standard_normal_streams(master_seed, np.array(ids, dtype=np.uint64), 257)
-        assert rows.shape == (2, 3, 257)
+        out = np.empty((2, 3, 257))
+        rows = standard_normal_streams(master_seed, np.array(ids, dtype=np.uint64), 257, out)
+        assert rows is out
         for row, stream_id in zip(rows.reshape(6, 257), sum(ids, [])):
             want = StreamSeed(master_seed, stream_id).generator().standard_normal(257)
             assert np.array_equal(row, want)
 
     def test_scaled_rows_equal_gaussian_block(self):
-        rows = standard_normal_streams(5, [4, 12], 1000)
+        rows = standard_normal_streams(5, [4, 12], 1000, np.empty((2, 1000)))
         for row, stream_id in zip(rows, [4, 12]):
             want = gaussian_block(1000, 2.5, StreamSeed(5, stream_id))
             assert np.array_equal(np.sqrt(2.5) * row, want)
 
     def test_empty(self):
-        assert standard_normal_streams(0, [], 8).shape == (0, 8)
-        assert standard_normal_streams(0, [1, 2], 0).shape == (2, 0)
+        assert standard_normal_streams(0, [], 8, np.empty((0, 8))).shape == (0, 8)
+        assert standard_normal_streams(0, [1, 2], 0, np.empty((2, 0))).shape == (2, 0)
 
     @pytest.mark.parametrize(
         "master_seed, samples", [(-1, 4), (2**64, 4), (True, 4), (0, -1), (0, 2.0)]
     )
     def test_rejects_bad_arguments(self, master_seed, samples):
         with pytest.raises(ValidationError):
-            standard_normal_streams(master_seed, [0], samples)
+            standard_normal_streams(master_seed, [0], samples, np.empty((1, 4)))
 
     @pytest.mark.parametrize("stream_ids", [[-1], [1.5], [2**64], [0, -1, 2**64 - 1]])
     def test_rejects_bad_stream_ids(self, stream_ids):
         with pytest.raises(ValidationError):
-            standard_normal_streams(0, stream_ids, 4)
+            standard_normal_streams(0, stream_ids, 4, np.empty((len(stream_ids), 4)))
+
+    def test_rejects_a_non_contiguous_slice(self):
+        # the first k rows of each half of a (2, rows, n) buffer are not one
+        # contiguous block; drawing through a reshape would fill a copy
+        buffer = np.zeros((2, 5, 16))
+        ids = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        with pytest.raises(ValidationError):
+            standard_normal_streams(0, ids, 16, buffer[:, :3])
+        assert not buffer.any()
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 8), dtype=np.float32),
+            np.empty((2, 9)),
+            np.empty((16,)),
+            np.empty((8, 2)).T,
+            np.empty((2, 8)).tolist(),
+        ],
+        ids=["float32", "shape", "flat", "fortran", "list"],
+    )
+    def test_rejects_a_bad_buffer(self, out):
+        with pytest.raises(ValidationError):
+            standard_normal_streams(0, [1, 2], 8, out)
+
+    def test_rejects_a_read_only_buffer(self):
+        out = np.empty((2, 8))
+        out.flags.writeable = False
+        with pytest.raises(ValidationError):
+            standard_normal_streams(0, [1, 2], 8, out)
 
 
 class TestJohnson:

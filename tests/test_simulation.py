@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +102,15 @@ class TestSimulateBit:
         for bad in (1.5, True):
             with pytest.raises(ValidationError):
                 scatter_trace(LineState.LH, small_config, bad)
+
+    def test_stream_ids_must_fit_64_bits(self, asymmetric_quad, asymmetric_vars):
+        # bit b owns stream ids 8b..8b+7, so 2**61 - 1 is the last bit with a key
+        config = SimConfig(
+            quad=asymmetric_quad, variances=asymmetric_vars, samples_per_bit=4, num_bits=2**62
+        )
+        assert scatter_trace(LineState.HL, config, 2**61 - 1).shape == (4, 2)
+        with pytest.raises(ValidationError):
+            scatter_trace(LineState.LH, config, 2**61)
 
     def test_statistics_definition(self, small_config, small_result):
         # the reported numbers are the (n-1) variances and the raw product
@@ -458,3 +469,90 @@ class TestKernelMatchesPerBitReference:
             assert result.hl_mask[bit] == hl_mask[bit]
             got = [result.var_v[bit], result.var_i[bit], result.cross[bit]]
             assert got == columns[:, bit].tolist()
+
+
+# sha256 of the column bytes at master seed 20151, recorded before the kernel
+# moved into per-chunk buffers; any change to one bit of the kernel shows here
+COLUMN_DIGESTS = {
+    ("alternate", 1000): (
+        "78f446682476c9dd8da3d514e16c642f86006723e33f7d7b1696b109c3100116",
+        "52ff76abed550bafe8f9ba7823c10e480d301377214a8d992249c7e4c7b0cd85",
+        "6d6e4b1623d0aba13aa043b30a28efad07d59c1ebb86d1ac30555dd33ce1808e",
+    ),
+    ("random", 1000): (
+        "4544e0ee5f47a10d88b87bc83b6903244b87b7180e2a69dedd2ef18b7848d344",
+        "e6f0b3aa24e1a75b01a0ce8c50004ae4c15a61c5cf5352a72c15e9e8289936b6",
+        "fb7a310ff898b3882fa9e7d4c6399a83bbd0818c391a4e387d60eba6e554f76a",
+    ),
+    ("alternate", 32): (
+        "ffddb503c03c4ed23d826e3f54a57c42e586c1c398c8e71059bd5a4d133062ab",
+        "8bdb500ab02b525f834a9628b3efada47ea4ac8ff6ccb3e7b7122ebbdcc0df8d",
+        "0514e36fb582df48ec88be46d23b840123da58196cf8821a7536d9ed9b9588f2",
+    ),
+    ("random", 32): (
+        "89964ffc802d5426fdcbb42a6e2f85f13cb1e9174723d1b27f4b5b2ec2b9dc1a",
+        "372932ddfb185e12426f92135fd0533e9c6f103db32ab89ec0498f8011bcc5dc",
+        "63d288544fa1dd2ee5f3901add6f08ffa7738b287b4ea6068f5cbef645500ae5",
+    ),
+}
+
+# sha256 of the last bit's scatter_trace in LH, then in HL
+SCATTER_DIGESTS = {
+    1000: "31282ff58aa1b65deedae34996b16f694a04a4ffe4f52ac3beb32311a70c0a92",
+    32: "78767bcbe60ea376a2baf5c968ae151fd6046476ccd51cdbf5c275dde7ce0106",
+}
+
+
+class TestKernelDigests:
+    @pytest.mark.parametrize("policy, samples", list(COLUMN_DIGESTS))
+    def test_bytes_are_pinned(self, asymmetric_quad, asymmetric_vars, policy, samples):
+        # two full blocks and a short third one
+        config = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=samples,
+            num_bits=2 * (_BLOCK_SAMPLES // samples) + 5,
+            master_seed=20151,
+            state_policy=StatePolicy(policy),
+        )
+        result = run_exchange(config)
+        got = tuple(
+            hashlib.sha256(column.tobytes()).hexdigest()
+            for column in (result.var_v, result.var_i, result.cross)
+        )
+        assert got == COLUMN_DIGESTS[policy, samples]
+        last = config.num_bits - 1
+        traces = b"".join(scatter_trace(state, config, last).tobytes() for state in LineState)
+        assert hashlib.sha256(traces).hexdigest() == SCATTER_DIGESTS[samples]
+
+
+# one ufunc iterator buffer (getbufsize() float64 items), which numpy may
+# allocate for an operand it cannot stride through, plus 32 KiB for the
+# per-block stream ids, row orders and Python objects
+ALLOCATION_MARGIN = np.getbufsize() * 8 + 32 * 1024
+
+
+class TestKernelAllocatesOncePerChunk:
+    @pytest.mark.parametrize("samples", [1000, 32])
+    def test_peak_is_bounded_and_flat(self, asymmetric_quad, asymmetric_vars, samples):
+        peaks = []
+        for blocks in (4, 40):
+            config = SimConfig(
+                quad=asymmetric_quad,
+                variances=asymmetric_vars,
+                samples_per_bit=samples,
+                num_bits=blocks * (_BLOCK_SAMPLES // samples),
+                master_seed=3,
+            )
+            run_exchange(config)  # first-call caches stay out of the measurement
+            tracemalloc.start()
+            try:
+                result = run_exchange(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            columns = (result.hl_mask, result.var_v, result.var_i, result.cross)
+            peaks.append(peak - sum(column.nbytes for column in columns))
+        # the draw buffer (two sources) and one scratch array, each one block
+        assert max(peaks) < 3 * _BLOCK_SAMPLES * 8 + ALLOCATION_MARGIN
+        assert peaks[1] <= peaks[0] + 1024
