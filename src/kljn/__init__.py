@@ -21,6 +21,7 @@ from .circuit import (
 from .errors import (
     DegenerateInputError,
     EmptyInputError,
+    GeneratorLayoutError,
     InfeasibleConfigError,
     KljnError,
     LengthMismatchError,
@@ -68,6 +69,7 @@ __all__ = [
     "EmptyInputError",
     "ExchangeResult",
     "Feasibility",
+    "GeneratorLayoutError",
     "HistogramData",
     "Indicator",
     "InfeasibleConfigError",

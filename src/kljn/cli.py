@@ -9,7 +9,6 @@ configuration, 3 security check FAIL.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -189,57 +188,59 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 3
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_lines(path: Path, header: str, lines) -> None:
+    """Write a CSV file from a header and an iterable of ready-made lines, one at a time."""
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(header)
+        handle.writelines(lines)
 
 
 def _write_artifacts(
     outdir: Path, config: FileConfig, sim: SimConfig, bins: int, threads: int
 ) -> None:
     result = run_exchange(sim, threads=threads)
-    report = ber_report(result)
 
-    _write_csv(
+    # every line is the one csv.writer would give: no field needs quoting, and
+    # f"{x:.17g}" on a Python float is _fmt's full-precision form
+    _write_lines(
         outdir / "ber.csv",
-        ["indicator", "ber_percent", "leak_percent", "threshold", "bits_lh", "bits_hl"],
+        "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl\n",
         (
-            [
-                entry.indicator.value,
-                _fmt(100.0 * entry.ber),
-                _fmt(100.0 * entry.leak),
-                _fmt(entry.threshold),
-                entry.bits_lh,
-                entry.bits_hl,
-            ]
-            for entry in report
+            f"{entry.indicator.value},{_fmt(100.0 * entry.ber)},{_fmt(100.0 * entry.leak)},"
+            f"{_fmt(entry.threshold)},{entry.bits_lh},{entry.bits_hl}\n"
+            for entry in ber_report(result)
         ),
     )
 
     for indicator in Indicator:
         hist = histogram(result, indicator, bins)
-        _write_csv(
+        edges = hist.edges.tolist()
+        _write_lines(
             outdir / f"hist_{indicator.value}.csv",
-            ["bin_low", "bin_high", "count_lh", "count_hl"],
+            "bin_low,bin_high,count_lh,count_hl\n",
             (
-                [_fmt(lo), _fmt(hi), int(n_lh), int(n_hl)]
+                f"{lo:.17g},{hi:.17g},{n_lh},{n_hl}\n"
                 for lo, hi, n_lh, n_hl in zip(
-                    hist.edges[:-1], hist.edges[1:], hist.counts_lh, hist.counts_hl
+                    edges[:-1], edges[1:], hist.counts_lh.tolist(), hist.counts_hl.tolist()
                 )
             ),
         )
 
-    # First bit of each state, LH block first.
-    scatter_rows = []
-    for state in (LineState.LH, LineState.HL):
-        mask = result.state_mask(state)
-        if mask.any():
-            first = int(np.argmax(mask))
-            for v_e, i_e in scatter_trace(state, sim, first):
-                scatter_rows.append([_fmt(v_e), _fmt(i_e)])
-    _write_csv(outdir / "scatter.csv", ["v_e_volts", "i_e_amps"], scatter_rows)
+    # First bit of each state, LH block first; each trace is drawn as its lines are written.
+    first_bits = [
+        (state, int(np.argmax(mask)))
+        for state in (LineState.LH, LineState.HL)
+        if (mask := result.state_mask(state)).any()
+    ]
+    _write_lines(
+        outdir / "scatter.csv",
+        "v_e_volts,i_e_amps\n",
+        (
+            f"{v_e:.17g},{i_e:.17g}\n"
+            for state, bit in first_bits
+            for v_e, i_e in zip(*scatter_trace(state, sim, bit).T.tolist())
+        ),
+    )
 
     metadata = {
         "resistors_ohm": {

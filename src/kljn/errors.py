@@ -23,6 +23,10 @@ class DegenerateInputError(ValidationError):
     """Statistics input lacks the structure required (e.g. only one line state)."""
 
 
+class GeneratorLayoutError(KljnError):
+    """numpy's Philox state does not have the memory layout the noise streams write."""
+
+
 class SingularDenominatorError(KljnError):
     """A variance-solver denominator vanished; the resistor set is degenerate."""
 

@@ -10,12 +10,13 @@ thermal equilibrium simply corresponds to a resistor-specific temperature.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GeneratorLayoutError, ValidationError
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # exact by SI definition
 
@@ -84,53 +85,105 @@ def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 
-def standard_normal_streams(
-    master_seed: int, stream_ids: np.ndarray, samples: int, out: np.ndarray
-) -> np.ndarray:
-    """Fill ``out`` with unit-variance draws of many streams, ``stream_ids.shape + (samples,)``.
+class _PhiloxState(ctypes.Structure):
+    """numpy's ``philox_state`` (numpy/random/src/philox/philox.h) at ``ctypes.state_address``."""
+
+    _fields_ = [
+        ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+# Written through the ctypes views at construction and read back through
+# Philox.state: distinct words, so a shifted or reordered field shows
+_PROBE_COUNTER = (0x0123456789ABCDEF, 0x1122334455667788, 0x99AABBCCDDEEFF00, 0xFEDCBA9876543210)
+_PROBE_KEY = (0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0)
+_PROBE_BUFFER_POS = 3
+
+
+class NormalStreams:
+    """Unit-variance Gaussian draws of any stream of one master seed, from one Philox.
 
     Each stream's samples are bit for bit those of
-    ``StreamSeed(master_seed, stream_id).generator().standard_normal(samples)``:
-    one Philox is re-keyed per stream with a zeroed counter, which costs a
-    fraction of building a generator per stream. ``out`` must be a writable,
-    C-contiguous float64 array, so that no row is drawn into a copy; it is
-    returned.
+    ``StreamSeed(master_seed, stream_id).generator().standard_normal(samples)``.
+    Philox is counter-based, so writing the key ``[master_seed, stream_id]``,
+    a zero counter and an empty output buffer is a fresh stream. Those words
+    are written in place through numpy's ``Philox.ctypes.state_address``,
+    which costs a fraction of building a generator or setting its ``state``
+    per stream. Construction checks that numpy's ``Philox.state`` reads the
+    written words back and raises GeneratorLayoutError if it does not. One
+    object serves one thread; the kernel builds one per chunk.
     """
-    _require_uint64("master_seed", master_seed)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 0:
-        raise ValidationError(f"sample count must be a non-negative integer, got {samples!r}")
-    stream_ids = np.asarray(stream_ids)
-    if stream_ids.size and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
-        raise ValidationError("stream ids must be unsigned 64-bit integers")
-    shape = stream_ids.shape + (samples,)
-    if not (
-        isinstance(out, np.ndarray)
-        and out.dtype == np.float64
-        and out.shape == shape
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ValidationError(
-            f"out must be a writable C-contiguous float64 array of shape {shape}"
-        )
-    key = [master_seed, 0]
-    fresh_stream = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    bit_generator = np.random.Philox()
-    draw = np.random.Generator(bit_generator).standard_normal
-    rows = out.reshape(stream_ids.size, samples)
-    # a memoryview yields the ids as Python ints one at a time, with no list of them all
-    for row, stream_id in zip(rows, memoryview(stream_ids.astype(np.uint64, copy=False).ravel())):
-        key[1] = stream_id
-        bit_generator.state = fresh_stream
-        draw(out=row)
-    return out
+
+    __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_draw")
+
+    def __init__(self, master_seed: int) -> None:
+        _require_uint64("master_seed", master_seed)
+        # any fixed seed will do, since every stream is re-keyed before it
+        # draws; a seed spares reading OS entropy
+        self._bit_generator = np.random.Philox(0)
+        self._state = _PhiloxState.from_address(self._bit_generator.ctypes.state_address)
+        # writable views of the words themselves, through the ctypes arrays' buffers
+        self._counter = np.frombuffer(self._state.ctr.contents, np.uint64)
+        self._key = np.frombuffer(self._state.key.contents, np.uint64)
+        self._check_read_back()
+        self._key[0] = master_seed
+        # standard_normal draws whole 64-bit words, so no half word is ever held
+        self._state.has_uint32 = 0
+        self._draw = np.random.Generator(self._bit_generator).standard_normal
+
+    def _check_read_back(self) -> None:
+        self._counter[:] = _PROBE_COUNTER
+        self._key[:] = _PROBE_KEY
+        self._state.buffer_pos = _PROBE_BUFFER_POS
+        self._state.has_uint32 = 1
+        state = self._bit_generator.state
+        if (
+            tuple(state["state"]["counter"].tolist()) != _PROBE_COUNTER
+            or tuple(state["state"]["key"].tolist()) != _PROBE_KEY
+            or state["buffer_pos"] != _PROBE_BUFFER_POS
+            or state["has_uint32"] != 1
+        ):
+            raise GeneratorLayoutError(
+                f"numpy {np.__version__}'s Philox state does not read back the words "
+                "written at its ctypes state address, so its streams cannot be re-keyed"
+            )
+
+    def fill(self, stream_ids, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, shape ``stream_ids.shape + (samples,)``, one stream per row; return it.
+
+        ``out`` must be a writable, C-contiguous float64 array, so that no row
+        is drawn into a copy.
+        """
+        stream_ids = np.asarray(stream_ids)
+        if stream_ids.size and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
+            raise ValidationError("stream ids must be unsigned 64-bit integers")
+        if not (
+            isinstance(out, np.ndarray)
+            and out.dtype == np.float64
+            and out.ndim == stream_ids.ndim + 1
+            and out.shape[:-1] == stream_ids.shape
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise ValidationError(
+                "out must be a writable C-contiguous float64 array of shape "
+                f"{stream_ids.shape} + (samples,)"
+            )
+        counter, key, state, draw = self._counter, self._key, self._state, self._draw
+        rows = out.reshape(stream_ids.size, out.shape[-1])
+        # a memoryview yields the ids as Python ints one at a time, with no list of them all
+        ids = memoryview(stream_ids.astype(np.uint64, copy=False).ravel())
+        for row, stream_id in zip(rows, ids):
+            key[1] = stream_id
+            counter.fill(0)
+            state.buffer_pos = 4  # output buffer empty: the first draw runs the zero counter
+            draw(out=row)
+        return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,9 +30,9 @@ from .noise import (
     GEN_LB,
     STATE_COIN_STREAM_ID,
     STREAM_STRIDE,
+    NormalStreams,
     StreamSeed,
     _require_uint64,
-    standard_normal_streams,
     stream_id_for,
 )
 
@@ -95,6 +95,7 @@ def _stream_ids(bits: np.ndarray, hl_flags: np.ndarray) -> np.ndarray:
 
 
 def _wire_signals(
+    streams: NormalStreams,
     config: SimConfig,
     bits: np.ndarray,
     hl_flags: np.ndarray,
@@ -106,12 +107,12 @@ def _wire_signals(
     hl_flags must be sorted, the LH bits first, so that each state's resistances
     and variances act on one run of rows as scalars. Every row goes through
     line_signals' expressions and is bit-identical to the bit simulated alone.
-    The sources are drawn into ``draws`` (C-contiguous, shape (2, bits,
-    samples_per_bit)), which is returned holding v_e and i_e; ``scratch``
-    (bits, samples_per_bit) is overwritten.
+    The sources are drawn from ``streams`` (keyed by config.master_seed) into
+    ``draws`` (C-contiguous, shape (2, bits, samples_per_bit)), which is
+    returned holding v_e and i_e; ``scratch`` (bits, samples_per_bit) is
+    overwritten.
     """
-    n = config.samples_per_bit
-    standard_normal_streams(config.master_seed, _stream_ids(bits, hl_flags), n, draws)
+    streams.fill(_stream_ids(bits, hl_flags), draws)
     lh_count = hl_flags.size - int(np.count_nonzero(hl_flags))
     for state, rows in ((LineState.LH, slice(0, lh_count)), (LineState.HL, slice(lh_count, None))):
         alice, bob = draws[:, rows]
@@ -167,7 +168,12 @@ def _bit_window(
     n = config.samples_per_bit
     hl_flags = np.array([state is LineState.HL])
     return _wire_signals(
-        config, np.array([bit_index]), hl_flags, np.empty((2, 1, n)), np.empty((1, n))
+        NormalStreams(config.master_seed),
+        config,
+        np.array([bit_index]),
+        hl_flags,
+        np.empty((2, 1, n)),
+        np.empty((1, n)),
     )
 
 
@@ -183,7 +189,9 @@ def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.nda
 def assign_states(config: SimConfig) -> np.ndarray:
     """True state per bit as a boolean array, True where the state is HL."""
     if config.state_policy is StatePolicy.ALTERNATE:
-        return (np.arange(config.num_bits) % 2).astype(bool)
+        mask = np.zeros(config.num_bits, dtype=bool)
+        mask[1::2] = True
+        return mask
     coin = StreamSeed(config.master_seed, STATE_COIN_STREAM_ID).generator()
     return coin.random(config.num_bits) >= 0.5
 
@@ -224,12 +232,14 @@ class ExchangeResult:
 def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
     """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); process-pool worker.
 
-    The working buffers are allocated once, for one block, and every block
-    draws, combines and reduces in them, so the chunk's memory does not churn.
+    The generator and the working buffers are made once, for one block, and
+    every block draws, combines and reduces in them, so the chunk's memory
+    does not churn.
     """
     stream_id_for(start + hl_flags.size - 1, GEN_HB)  # the chunk's largest stream id fits 64 bits
     n = config.samples_per_bit
     rows = min(max(1, _BLOCK_SAMPLES // n), hl_flags.size)
+    streams = NormalStreams(config.master_seed)
     draws = np.empty(2 * rows * n)
     prod = np.empty((rows, n))
     mean = np.empty((rows, 1))
@@ -243,7 +253,7 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
         # a short last block views the first 2*k*n draws: a [:, :k] slice of a
         # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy
         v_e, i_e = _wire_signals(
-            config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
+            streams, config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
         )
         block = columns[:, offset : offset + k]
         _window_moments(v_e, i_e, block, prod[:k], mean[:k])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import kljn
 from kljn.cli import main
+from kljn.simulation import _BLOCK_SAMPLES
 
 ASYMMETRIC = {"r_la": 1000.0, "r_ha": 10_000.0, "r_lb": 5000.0, "r_hb": 9000.0}
 SYMMETRIC = {"r_la": 1000.0, "r_ha": 9000.0, "r_lb": 1000.0, "r_hb": 9000.0}
@@ -282,6 +284,69 @@ class TestRunCommand:
             num_bits=10,
         )
         assert main(["run", config, str(tmp_path / "leaky"), "--threads", "1"]) == 0
+
+
+ARTIFACT_NAMES = (
+    "ber.csv",
+    "hist_current_variance.csv",
+    "hist_voltage_variance.csv",
+    "hist_cross_correlation.csv",
+    "scatter.csv",
+)
+
+# sha256 of the artifacts at master seed 20151, in ARTIFACT_NAMES order,
+# recorded with the csv.writer-based writer before it formatted in bulk; the
+# run ends in a short kernel block. metadata.json names the numpy version,
+# so it is compared between runs, not pinned.
+ARTIFACT_DIGESTS = {
+    ("alternate", 1000): (
+        "44d851809f8fcefa616f38acd8771e9d8003ae6b282ff3fb29998f544d53f682",
+        "dace9e0d248cb7fbbd7e219df2b5135741f5eb5ee9d473f9b504edc531872771",
+        "a69ddff1b66cf899954c22336605e40c2307bb06ddcdf604c0a09e6c26358e7c",
+        "7650c3506df0cfc49da6d95757f6fc48ace353f9a3a82674f8fffea40415e934",
+        "6a2d48effa7d067b7f61869d9f6b41fc9750e28c787d3b697d8ca47cf082eace",
+    ),
+    ("random", 1000): (
+        "d6f5619f2b84d3299c41c08f74d608e93dc0dd5d6629b0c49b77aa1c803d938c",
+        "744a615859af724d2c49ead11bd5f1e2f7094a1906d0f09203e04924425802fa",
+        "de0e49d3b6a77cae40fbaeb6f396869a592671ebe538c944925a4a706b1e4950",
+        "5c2fdab53663c4b8e3c91a13d42a05014ac82229225d8ddf61bd80594e3596b6",
+        "6a2d48effa7d067b7f61869d9f6b41fc9750e28c787d3b697d8ca47cf082eace",
+    ),
+    ("alternate", 32): (
+        "23ac21e8f2adbd51613c96494908e7eb55fcb28646840d295fe2faf1aa1e5ccf",
+        "72c346ae69cd6445ecf9641f64eed67ee9c9cf5dcef47fc835dfc43704dc939d",
+        "04d03381417d196f3287185f8c4708154e1431b585783e8428b6b972efe0c9e1",
+        "52486d23a814d76660d1e8f73cf13f3c5007404008dee13a5cfb61b4e20bc4e6",
+        "7ecb7d33743e40363b3ec2247b069fa8e62c581c1f851a49fdef965b23abd129",
+    ),
+    ("random", 32): (
+        "b6756b6de23f3e3ea73f20cd1ab5d28b6353e08d95e7b58f6c0a327359c54d84",
+        "59c92b5b56a618fa58db0457d0511d09efa22e12a4807eff29e546bce9dc494a",
+        "f923369c7c7830d1720e36ebab9f67a2c611608b153633f4978a469231fec91d",
+        "0984dbbade3764700df6909c2043be13181c9e6f93ef50b931806c9c3e25d139",
+        "7ecb7d33743e40363b3ec2247b069fa8e62c581c1f851a49fdef965b23abd129",
+    ),
+}
+
+
+class TestArtifactDigests:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("policy, samples", list(ARTIFACT_DIGESTS))
+    def test_bytes_are_pinned(self, tmp_path, policy, samples, threads):
+        config = write_config(
+            tmp_path,
+            state_policy=policy,
+            samples_per_bit=samples,
+            num_bits=2 * (_BLOCK_SAMPLES // samples) + 5,
+            master_seed=20151,
+        )
+        outdir = tmp_path / "out"
+        assert main(["run", config, str(outdir), "--threads", str(threads)]) == 0
+        got = tuple(
+            hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES
+        )
+        assert got == ARTIFACT_DIGESTS[policy, samples]
 
 
 class TestOverflowingResistances:

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from kljn import (
     BOLTZMANN_J_PER_K,
+    GeneratorLayoutError,
     JohnsonParams,
+    KljnError,
     LineState,
     StreamSeed,
     ValidationError,
@@ -19,7 +23,7 @@ from kljn.noise import (
     GEN_LA,
     STATE_COIN_STREAM_ID,
     STREAM_STRIDE,
-    standard_normal_streams,
+    NormalStreams,
 )
 
 
@@ -122,38 +126,70 @@ class TestGaussianBlock:
         )
 
 
+def fresh_stream(master_seed, stream_id, samples):
+    return StreamSeed(master_seed, stream_id).generator().standard_normal(samples)
+
+
 class TestStandardNormalStreams:
+    """NormalStreams: many unit-variance streams of one master seed from one Philox."""
+
     @pytest.mark.parametrize("master_seed", [0, 77, 2**64 - 1])
     def test_each_row_is_its_own_stream(self, master_seed):
         ids = [[0, 2**64 - 1, 9], [9, 3, 2**63]]
         out = np.empty((2, 3, 257))
-        rows = standard_normal_streams(master_seed, np.array(ids, dtype=np.uint64), 257, out)
+        rows = NormalStreams(master_seed).fill(np.array(ids, dtype=np.uint64), out)
         assert rows is out
         for row, stream_id in zip(rows.reshape(6, 257), sum(ids, [])):
-            want = StreamSeed(master_seed, stream_id).generator().standard_normal(257)
-            assert np.array_equal(row, want)
+            assert np.array_equal(row, fresh_stream(master_seed, stream_id, 257))
 
     def test_scaled_rows_equal_gaussian_block(self):
-        rows = standard_normal_streams(5, [4, 12], 1000, np.empty((2, 1000)))
+        rows = NormalStreams(5).fill([4, 12], np.empty((2, 1000)))
         for row, stream_id in zip(rows, [4, 12]):
             want = gaussian_block(1000, 2.5, StreamSeed(5, stream_id))
             assert np.array_equal(np.sqrt(2.5) * row, want)
 
-    def test_empty(self):
-        assert standard_normal_streams(0, [], 8, np.empty((0, 8))).shape == (0, 8)
-        assert standard_normal_streams(0, [1, 2], 0, np.empty((2, 0))).shape == (2, 0)
+    def test_a_stream_left_mid_buffer_is_fully_reset(self):
+        # 3 and 5 samples leave Philox part-way through its 4-word output buffer
+        streams = NormalStreams(11)
+        for stream_id, samples in ((6, 3), (6, 5), (7, 64), (6, 3)):
+            got = streams.fill([stream_id], np.empty((1, samples)))[0]
+            assert np.array_equal(got, fresh_stream(11, stream_id, samples))
 
-    @pytest.mark.parametrize(
-        "master_seed, samples", [(-1, 4), (2**64, 4), (True, 4), (0, -1), (0, 2.0)]
-    )
-    def test_rejects_bad_arguments(self, master_seed, samples):
+    def test_interleaved_master_seeds_and_stream_ids(self):
+        seeds = [0, 2**64 - 1, 31337]
+        streams = [NormalStreams(seed) for seed in seeds]
+        for stream_id in (0, 2**64 - 1, 5, 0, 2**63 + 1):
+            for seed, keyed in zip(seeds, streams):
+                got = keyed.fill([stream_id], np.empty((1, 33)))[0]
+                assert np.array_equal(got, fresh_stream(seed, stream_id, 33))
+
+    def test_read_back_guard(self, monkeypatch):
+        class MisreadPhilox(np.random.Philox):
+            # a numpy whose state lies elsewhere would not read the words back
+            @property
+            def state(self):
+                state = super().state
+                state["state"]["key"] = state["state"]["key"][::-1]
+                return state
+
+        monkeypatch.setattr(np.random, "Philox", MisreadPhilox)
+        with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
+            NormalStreams(0)
+        assert issubclass(GeneratorLayoutError, KljnError)
+
+    def test_empty(self):
+        assert NormalStreams(0).fill([], np.empty((0, 8))).shape == (0, 8)
+        assert NormalStreams(0).fill([1, 2], np.empty((2, 0))).shape == (2, 0)
+
+    @pytest.mark.parametrize("master_seed", [-1, 2**64, True, 1.5])
+    def test_rejects_a_bad_master_seed(self, master_seed):
         with pytest.raises(ValidationError):
-            standard_normal_streams(master_seed, [0], samples, np.empty((1, 4)))
+            NormalStreams(master_seed)
 
     @pytest.mark.parametrize("stream_ids", [[-1], [1.5], [2**64], [0, -1, 2**64 - 1]])
     def test_rejects_bad_stream_ids(self, stream_ids):
         with pytest.raises(ValidationError):
-            standard_normal_streams(0, stream_ids, 4, np.empty((len(stream_ids), 4)))
+            NormalStreams(0).fill(stream_ids, np.empty((len(stream_ids), 4)))
 
     def test_rejects_a_non_contiguous_slice(self):
         # the first k rows of each half of a (2, rows, n) buffer are not one
@@ -161,29 +197,30 @@ class TestStandardNormalStreams:
         buffer = np.zeros((2, 5, 16))
         ids = np.arange(6, dtype=np.uint64).reshape(2, 3)
         with pytest.raises(ValidationError):
-            standard_normal_streams(0, ids, 16, buffer[:, :3])
+            NormalStreams(0).fill(ids, buffer[:, :3])
         assert not buffer.any()
 
     @pytest.mark.parametrize(
         "out",
         [
             np.empty((2, 8), dtype=np.float32),
-            np.empty((2, 9)),
+            np.empty((3, 8)),
             np.empty((16,)),
+            np.empty((2, 1, 8)),
             np.empty((8, 2)).T,
             np.empty((2, 8)).tolist(),
         ],
-        ids=["float32", "shape", "flat", "fortran", "list"],
+        ids=["float32", "shape", "flat", "extra-axis", "fortran", "list"],
     )
     def test_rejects_a_bad_buffer(self, out):
         with pytest.raises(ValidationError):
-            standard_normal_streams(0, [1, 2], 8, out)
+            NormalStreams(0).fill([1, 2], out)
 
     def test_rejects_a_read_only_buffer(self):
         out = np.empty((2, 8))
         out.flags.writeable = False
         with pytest.raises(ValidationError):
-            standard_normal_streams(0, [1, 2], 8, out)
+            NormalStreams(0).fill([1, 2], out)
 
 
 class TestJohnson:

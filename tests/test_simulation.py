@@ -155,6 +155,18 @@ class TestRunExchange:
         result = run_exchange(config)
         assert result.hl_mask.tolist() == [False, True, False, True]
 
+    def test_alternate_mask_costs_one_byte_per_bit(self, asymmetric_quad, asymmetric_vars):
+        config = SimConfig(quad=asymmetric_quad, variances=asymmetric_vars)
+        assert config.num_bits == 1_000_000
+        tracemalloc.start()
+        try:
+            mask = assign_states(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(mask, (np.arange(config.num_bits) % 2).astype(bool))
+        assert peak < 2 * 1024 * 1024
+
     def test_repeat_runs_identical(self, small_config, small_result):
         again = run_exchange(small_config)
         for indicator in Indicator:
