@@ -8,14 +8,13 @@ expressions and their second moments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError, ValidationError
+from .errors import EmptyInputError, LengthMismatchError, ValidationError, require_real
 
 
 class LineState(Enum):
@@ -27,16 +26,6 @@ class LineState(Enum):
 
     LH = "LH"
     HL = "HL"
-
-
-def _require_positive_finite(record) -> None:
-    """Reject any field of ``record`` that is not a positive, finite real (bools excluded)."""
-    for name in record.__slots__:  # the dataclass fields, in order
-        value = getattr(record, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +43,9 @@ class ResistorQuad:
     r_hb: float
 
     def __post_init__(self) -> None:
-        _require_positive_finite(self)
+        require_real(
+            ("r_la", self.r_la), ("r_ha", self.r_ha), ("r_lb", self.r_lb), ("r_hb", self.r_hb)
+        )
         if self.r_la == self.r_ha:
             raise ValidationError(f"Alice's resistors must differ, both are {self.r_la} ohm")
         if self.r_lb == self.r_hb:
@@ -80,7 +71,12 @@ class NoiseVariances:
     v_hb_sq: float
 
     def __post_init__(self) -> None:
-        _require_positive_finite(self)
+        require_real(
+            ("v_la_sq", self.v_la_sq),
+            ("v_ha_sq", self.v_ha_sq),
+            ("v_lb_sq", self.v_lb_sq),
+            ("v_hb_sq", self.v_hb_sq),
+        )
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_variance, bob_variance) of the sources on the wire."""

@@ -19,7 +19,14 @@ import numpy as np
 
 from . import __version__
 from .circuit import LineState, NoiseVariances, ResistorQuad
-from .errors import InfeasibleConfigError, KljnError, SingularDenominatorError, ValidationError
+from .errors import (
+    InfeasibleConfigError,
+    KljnError,
+    SingularDenominatorError,
+    ValidationError,
+    require_int,
+    require_real,
+)
 from .noise import GENERATOR_ALGORITHM
 from .simulation import (
     Indicator,
@@ -62,8 +69,7 @@ class FileConfig:
 
 
 def _require_number(raw: object, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {raw!r}")
+    require_real((where, raw))
     return float(raw)
 
 
@@ -71,18 +77,18 @@ def _tolerance(text: str) -> float:
     """argparse type of --tolerance: a finite, non-negative residual bound."""
     try:
         value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+        require_real(("tolerance", value), allow_zero=True)
+    except ValueError as exc:  # from float(), or the real rule's ValidationError
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
 def load_config(path: str | Path) -> FileConfig:
     """Parse and validate a JSON config file. Unknown keys are ignored."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -124,8 +130,7 @@ def load_config(path: str | Path) -> FileConfig:
 
     def _int_field(key: str, default: int) -> int:
         value = raw.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        require_int(key, value)
         return value
 
     return FileConfig(
@@ -162,16 +167,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if config.explicit_variances is not None:
-        variances = config.explicit_variances
-    elif args.solve:
-        variances = _resolve_variances(config)
-    else:
+    if config.explicit_variances is None and not args.solve:
         raise ValidationError(
             "check needs an explicit 'variances_v2' block (or pass --solve "
             "to derive it from 'v_la_variance_v2')"
         )
-    residuals = check_security(config.quad, variances)
+    residuals = check_security(config.quad, _resolve_variances(config))
     values = {name: getattr(residuals, name) for name in _RESIDUAL_OBSERVABLES}
     for name, value in values.items():
         print(f"{name},{_fmt(value)}")
@@ -272,8 +273,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     samples = config.samples_per_bit if args.samples is None else args.samples
     seed = config.master_seed if args.seed is None else args.seed
     bins = config.histogram_bins if args.bins is None else args.bins
-    if not isinstance(bins, int) or bins < 1:
-        raise ValidationError(f"histogram bin count must be a positive integer, got {bins!r}")
+    require_int("histogram bin count", bins, 1)
 
     variances = _resolve_variances(config)
     sim = SimConfig(
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, default=None, help="override samples_per_bit")
     run.add_argument("--seed", type=int, default=None, help="override master_seed")
     run.add_argument(
-        "--threads", type=int, default=0, help="worker processes, 0 = machine CPU count"
+        "--threads", type=int, default=0, help="worker processes, at most the CPU count (0: all)"
     )
     run.add_argument("--bins", type=int, default=None, help="override histogram bin count")
     run.set_defaults(handler=cmd_run)

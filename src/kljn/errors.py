@@ -1,6 +1,10 @@
-"""Exception hierarchy for the KLJN simulation library."""
+"""Exception hierarchy for the KLJN simulation library, and the two rules that every
+scalar input is checked by: require_int and require_real.
+"""
 
 from __future__ import annotations
+
+import math
 
 
 class KljnError(Exception):
@@ -44,3 +48,32 @@ class InfeasibleConfigError(KljnError):
             f"infeasible resistor configuration: {variance_name} = {value:.6g} V**2 "
             "(must be strictly positive)"
         )
+
+
+def require_int(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> None:
+    """Integer rule: ``value`` must be an int, not a bool, in [low, high]; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        if high < math.inf:
+            bounds = f" in [{low}, {high}]"
+        else:
+            bounds = f" >= {low}" if low > -math.inf else ""
+        raise ValidationError(f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
+    """Real rule on each (name, value) pair, in order: an int or float, not a bool, finite
+    and positive (or zero, where ``allow_zero``); raise ValidationError naming the first
+    value that breaks it.
+
+    np.float64 subclasses float and passes; other numpy scalars do not. One call checks a
+    whole record, not one call per field. An int beyond the float range raises OverflowError.
+    """
+    for name, value in fields:
+        # an exact float, the common case, skips the two isinstance calls
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+            sign = "non-negative" if allow_zero else "positive"
+            raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")

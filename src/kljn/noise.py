@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeneratorLayoutError, ValidationError
+from .errors import GeneratorLayoutError, ValidationError, require_int, require_real
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # exact by SI definition
 
 # Recorded in run metadata; reproducing a run requires this algorithm.
 GENERATOR_ALGORITHM = "philox4x64"
 
-_UINT64_MAX = 2**64 - 1
+# Master seeds and stream ids are the two 64-bit words of a Philox key.
+UINT64_MAX = 2**64 - 1
 
 # Stream-id layout: each bit owns a block of 8 consecutive ids, one per
 # generator slot. Slots 4-7 are reserved; slot 4 of bit 0 doubles as the
@@ -31,25 +32,15 @@ _UINT64_MAX = 2**64 - 1
 STREAM_STRIDE = 8
 GEN_LA, GEN_HA, GEN_LB, GEN_HB = 0, 1, 2, 3
 STATE_COIN_STREAM_ID = 4
+# Bits that have stream ids: bit 2**61 - 1 owns the last ids, up to 2**64 - 1.
+MAX_BITS = (UINT64_MAX + 1) // STREAM_STRIDE
 
 
 def stream_id_for(bit_index: int, generator_index: int) -> int:
     """Stream id of one generator slot of one bit: bit_index * 8 + slot."""
-    if not 0 <= generator_index < STREAM_STRIDE:
-        raise ValidationError(f"generator_index must be in [0, 8), got {generator_index}")
-    if bit_index < 0:
-        raise ValidationError(f"bit_index must be non-negative, got {bit_index}")
-    stream_id = bit_index * STREAM_STRIDE + generator_index
-    if stream_id > _UINT64_MAX:
-        raise ValidationError(f"stream id {stream_id} exceeds 64 bits")
-    return stream_id
-
-
-def _require_uint64(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value <= _UINT64_MAX:
-        raise ValidationError(f"{name} must fit in an unsigned 64-bit word, got {value}")
+    require_int("generator_index", generator_index, 0, STREAM_STRIDE - 1)
+    require_int("bit_index", bit_index, 0, MAX_BITS - 1)
+    return bit_index * STREAM_STRIDE + generator_index
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,8 +56,8 @@ class StreamSeed:
     stream_id: int
 
     def __post_init__(self) -> None:
-        _require_uint64("master_seed", self.master_seed)
-        _require_uint64("stream_id", self.stream_id)
+        require_int("master_seed", self.master_seed, 0, UINT64_MAX)
+        require_int("stream_id", self.stream_id, 0, UINT64_MAX)
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
@@ -78,10 +69,8 @@ def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
 
     Deterministic in ``seed``; variance 0 yields exact zeros.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError(f"sample count must be a non-negative integer, got {n!r}")
-    if not (isinstance(variance, (int, float)) and math.isfinite(variance)) or variance < 0:
-        raise ValidationError(f"variance must be finite and non-negative, got {variance!r}")
+    require_int("sample count", n, 0)
+    require_real(("variance", variance), allow_zero=True)
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 
@@ -122,7 +111,7 @@ class NormalStreams:
     __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_draw")
 
     def __init__(self, master_seed: int) -> None:
-        _require_uint64("master_seed", master_seed)
+        require_int("master_seed", master_seed, 0, UINT64_MAX)
         # any fixed seed will do, since every stream is re-keyed before it
         # draws; a seed spares reading OS entropy
         self._bit_generator = np.random.Philox(0)
@@ -195,16 +184,12 @@ class JohnsonParams:
     boltzmann_constant: float = field(default=BOLTZMANN_J_PER_K, init=False)
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0:
-            raise ValidationError(f"temperature must be positive, got {self.temperature!r}")
-        if not self.bandwidth > 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        require_real(("temperature", self.temperature), ("bandwidth", self.bandwidth))
 
 
 def johnson_variance(resistance: float, params: JohnsonParams) -> float:
     """Band-limited thermal-noise voltage variance 4*k*T*R*B of a resistor."""
-    if not resistance > 0:
-        raise ValidationError(f"resistance must be positive, got {resistance!r}")
+    require_real(("resistance", resistance))
     return 4.0 * params.boltzmann_constant * params.temperature * resistance * params.bandwidth
 
 
@@ -214,6 +199,5 @@ def effective_temperature(resistance: float, variance: float, bandwidth: float) 
     Inverse of johnson_variance; emulated generator amplitudes typically map
     to enormous effective temperatures.
     """
-    if not resistance > 0 or not variance > 0 or not bandwidth > 0:
-        raise ValidationError("resistance, variance and bandwidth must all be positive")
+    require_real(("resistance", resistance), ("variance", variance), ("bandwidth", bandwidth))
     return variance / (4.0 * BOLTZMANN_J_PER_K * resistance * bandwidth)

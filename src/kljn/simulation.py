@@ -22,18 +22,18 @@ from enum import Enum
 import numpy as np
 
 from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, require_int
 from .noise import (
     GEN_HA,
     GEN_HB,
     GEN_LA,
     GEN_LB,
+    MAX_BITS,
     STATE_COIN_STREAM_ID,
     STREAM_STRIDE,
+    UINT64_MAX,
     NormalStreams,
     StreamSeed,
-    _require_uint64,
-    stream_id_for,
 )
 
 # The per-bit primitives stay importable from this module; the batched
@@ -68,7 +68,7 @@ class Indicator(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Full description of one exchange experiment."""
+    """Full description of one exchange experiment, of at most MAX_BITS (2**61) bits."""
 
     quad: ResistorQuad
     variances: NoiseVariances
@@ -78,11 +78,9 @@ class SimConfig:
     state_policy: StatePolicy = StatePolicy.ALTERNATE
 
     def __post_init__(self) -> None:
-        for name, low in (("samples_per_bit", 2), ("num_bits", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
-        _require_uint64("master_seed", self.master_seed)
+        require_int("samples_per_bit", self.samples_per_bit, 2)
+        require_int("num_bits", self.num_bits, 1, MAX_BITS)
+        require_int("master_seed", self.master_seed, 0, UINT64_MAX)
         if not isinstance(self.state_policy, StatePolicy):
             raise ValidationError(f"state_policy must be a StatePolicy, got {self.state_policy!r}")
 
@@ -156,15 +154,7 @@ def _bit_window(
     state: LineState, config: SimConfig, bit_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(v_e, i_e) of one bit, each of shape (1, samples_per_bit)."""
-    if (
-        isinstance(bit_index, bool)
-        or not isinstance(bit_index, int)
-        or not 0 <= bit_index < config.num_bits
-    ):
-        raise ValidationError(
-            f"bit_index must be an integer in [0, {config.num_bits}), got {bit_index!r}"
-        )
-    stream_id_for(bit_index, GEN_HB)  # the bit's largest stream id fits 64 bits
+    require_int("bit_index", bit_index, 0, config.num_bits - 1)
     n = config.samples_per_bit
     hl_flags = np.array([state is LineState.HL])
     return _wire_signals(
@@ -236,7 +226,6 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
     every block draws, combines and reduces in them, so the chunk's memory
     does not churn.
     """
-    stream_id_for(start + hl_flags.size - 1, GEN_HB)  # the chunk's largest stream id fits 64 bits
     n = config.samples_per_bit
     rows = min(max(1, _BLOCK_SAMPLES // n), hl_flags.size)
     streams = NormalStreams(config.master_seed)
@@ -264,14 +253,14 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     """Transfer num_bits bits and collect every bit's statistics.
 
-    ``threads`` counts worker processes; 0 picks the machine's CPU count.
-    The result is identical for every thread count and scheduling order
-    because each bit's streams are keyed by its index alone.
+    ``threads`` asks for worker processes, at most the machine's CPU count;
+    0 picks the CPU count. The result is identical for every thread count and
+    scheduling order because each bit's streams are keyed by its index alone.
     """
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 0:
-        raise ValidationError(f"threads must be an integer >= 0, got {threads!r}")
+    require_int("threads", threads, 0)
     hl_mask = assign_states(config)
-    workers = threads if threads else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(threads, cpus) if threads else cpus
     if workers == 1 or config.num_bits < 2 * workers:
         return ExchangeResult(hl_mask, *_simulate_chunk(config, 0, hl_mask))
 
@@ -359,8 +348,7 @@ def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> H
     distributions are directly comparable bin by bin. Every bit lands in
     exactly one bin.
     """
-    if isinstance(bin_count, bool) or not isinstance(bin_count, int) or bin_count < 1:
-        raise ValidationError(f"bin_count must be a positive integer, got {bin_count!r}")
+    require_int("bin_count", bin_count, 1)
     values, hl_mask = _pooled(result, indicator)
     if values.size == 0:
         raise DegenerateInputError("cannot histogram an empty exchange result")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 # benchmarks/spans.py traces kljn.solver.theoretical_moments, so the name stays bound here.
 from .circuit import NoiseVariances, ResistorQuad, theoretical_moments, wire_moments  # noqa: F401
-from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationError
+from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationError, require_real
 
 # Denominator magnitudes below SINGULAR_RTOL times the sum of their term
 # magnitudes are pure cancellation noise, not meaningful values.
@@ -69,10 +69,7 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     Raises SingularDenominatorError for near-degenerate resistor sets and
     InfeasibleConfigError when a computed variance is not strictly positive.
     """
-    if not isinstance(v_la_sq, (int, float)) or isinstance(v_la_sq, bool):
-        raise ValidationError(f"v_la_sq must be a real number, got {v_la_sq!r}")
-    if not v_la_sq > 0:
-        raise ValidationError(f"v_la_sq must be positive, got {v_la_sq!r}")
+    require_real(("v_la_sq", v_la_sq))
     r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
     ha_hb = r_ha * r_hb
 

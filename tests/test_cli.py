@@ -29,6 +29,22 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
+def run_module(*args):
+    """``python -m kljn *args`` in a fresh interpreter, so an uncaught error shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "kljn", *args], capture_output=True, text=True, env=env
+    )
+
+
+def assert_one_line_error(done):
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
 class TestSolveCommand:
     def test_reference_output(self, tmp_path, capsys):
         assert main(["solve", write_config(tmp_path)]) == 0
@@ -359,18 +375,21 @@ class TestOverflowingResistances:
     )
     def test_one_line_error_and_exit_1(self, tmp_path, command):
         path = write_config(tmp_path, resistors_ohm=self.HUGE, variances_v2=self.VARIANCES)
-        env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "kljn", command[0], path, *command[1:]],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert done.returncode == 1
-        assert done.stdout == ""
-        lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr
-        assert "Traceback" not in done.stderr
+        assert_one_line_error(run_module(command[0], path, *command[1:]))
+
+
+class TestOneLineErrors:
+    def test_bit_count_beyond_stream_ids(self, tmp_path):
+        # SimConfig rejects 2**61 + 1 bits before anything is allocated
+        outdir = tmp_path / "out"
+        done = run_module("run", write_config(tmp_path), str(outdir), "--bits", str(2**61 + 1))
+        assert_one_line_error(done)
+        assert not outdir.exists()
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert_one_line_error(run_module("solve", str(path)))
 
 
 class TestUsageErrors:

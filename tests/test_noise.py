@@ -47,6 +47,11 @@ class TestStreamLayout:
             stream_id_for(0, 8)
         with pytest.raises(ValidationError):
             stream_id_for(2**63, 0)
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError):
+                stream_id_for(bad, 0)
+            with pytest.raises(ValidationError):
+                stream_id_for(0, bad)
 
 
 class TestStreamSeed:
@@ -90,6 +95,8 @@ class TestGaussianBlock:
             gaussian_block(10, -0.1, StreamSeed(0, 0))
         with pytest.raises(ValidationError):
             gaussian_block(10, float("nan"), StreamSeed(0, 0))
+        with pytest.raises(ValidationError):
+            gaussian_block(3, True, StreamSeed(0, 0))
 
     def test_moments_at_one_million_samples(self):
         block = gaussian_block(1_000_000, 2.0, StreamSeed(master_seed=2718, stream_id=5))
@@ -252,13 +259,16 @@ class TestJohnson:
         )
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            JohnsonParams(temperature=0.0, bandwidth=1.0)
-        with pytest.raises(ValidationError):
-            JohnsonParams(temperature=1.0, bandwidth=0.0)
+        params = JohnsonParams(temperature=1.0, bandwidth=1.0)
+        for bad in (0.0, float("inf"), True):
+            with pytest.raises(ValidationError):
+                JohnsonParams(temperature=bad, bandwidth=1.0)
+            with pytest.raises(ValidationError):
+                JohnsonParams(temperature=1.0, bandwidth=bad)
+            with pytest.raises(ValidationError):
+                johnson_variance(bad, params)
+            for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValidationError):
+                    effective_temperature(*args)
         with pytest.raises(TypeError):
             JohnsonParams(temperature=1.0, bandwidth=1.0, boltzmann_constant=1.0)
-        with pytest.raises(ValidationError):
-            johnson_variance(0.0, JohnsonParams(temperature=1.0, bandwidth=1.0))
-        with pytest.raises(ValidationError):
-            effective_temperature(1.0, 0.0, 1.0)

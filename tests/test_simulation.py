@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import hashlib
@@ -64,6 +65,8 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(**good, num_bits=0)
         with pytest.raises(ValidationError):
+            SimConfig(**good, num_bits=2**61 + 1)  # bit 2**61 would need stream id 2**64
+        with pytest.raises(ValidationError):
             SimConfig(**good, master_seed=-1)
         with pytest.raises(ValidationError):
             SimConfig(**good, master_seed=2**64)
@@ -106,7 +109,7 @@ class TestSimulateBit:
     def test_stream_ids_must_fit_64_bits(self, asymmetric_quad, asymmetric_vars):
         # bit b owns stream ids 8b..8b+7, so 2**61 - 1 is the last bit with a key
         config = SimConfig(
-            quad=asymmetric_quad, variances=asymmetric_vars, samples_per_bit=4, num_bits=2**62
+            quad=asymmetric_quad, variances=asymmetric_vars, samples_per_bit=4, num_bits=2**61
         )
         assert scatter_trace(LineState.HL, config, 2**61 - 1).shape == (4, 2)
         with pytest.raises(ValidationError):
@@ -194,6 +197,35 @@ class TestRunExchange:
             assert np.array_equal(
                 parallel.indicator_values(indicator),
                 small_result.indicator_values(indicator),
+            )
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, small_config, small_result):
+        pool_sizes = []
+
+        class InlinePool:
+            """Stands in for ProcessPoolExecutor: records max_workers, runs each task at once."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr("kljn.simulation.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        capped = run_exchange(small_config, threads=5000)
+        assert pool_sizes == [2]
+        for indicator in Indicator:
+            assert np.array_equal(
+                capped.indicator_values(indicator), small_result.indicator_values(indicator)
             )
 
     def test_random_policy_is_roughly_balanced(self, asymmetric_quad, asymmetric_vars):

@@ -70,10 +70,13 @@ class TestSolveVariances:
         with pytest.raises(SingularDenominatorError):
             solve_variances(quad, 1.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), True])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_rejects_bad_anchor(self, asymmetric_quad, bad):
-        with pytest.raises(ValidationError):
-            solve_variances(asymmetric_quad, bad)
+        # the anchor is checked first, so an infeasible quad gives the same error
+        infeasible = ResistorQuad(r_la=5000.0, r_ha=1000.0, r_lb=1000.0, r_hb=2000.0)
+        for quad in (asymmetric_quad, infeasible):
+            with pytest.raises(ValidationError):
+                solve_variances(quad, bad)
 
     def test_homogeneous_in_anchor_exact_for_binary_factors(self, asymmetric_quad):
         base = solve_variances(asymmetric_quad, 1.0)
