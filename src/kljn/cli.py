@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,18 +40,19 @@ from .simulation import (
 from .solver import check_security, solve_variances
 
 DEFAULT_HISTOGRAM_BINS = 200
-_VARIANCE_FIELDS = ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq")
+# The integer config keys: (key, default, the `run` flag that overrides it)
+_INT_KEYS = (
+    ("num_bits", 1_000_000, "--bits"),
+    ("samples_per_bit", 1000, "--samples"),
+    ("master_seed", 0, "--seed"),
+    ("histogram_bins", DEFAULT_HISTOGRAM_BINS, "--bins"),
+)
 # Each security residual and the observable whose LH/HL mismatch it measures.
 _RESIDUAL_OBSERVABLES = {
     "current_residual": "current variance",
     "voltage_residual": "voltage variance",
     "cross_residual": "voltage-current cross moment",
 }
-
-
-def _fmt(value: float) -> str:
-    """Full double precision, '.' decimal separator."""
-    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,8 @@ class FileConfig:
     quad: ResistorQuad
     v_la_sq: float | None
     explicit_variances: NoiseVariances | None
-    samples_per_bit: int
-    num_bits: int
-    master_seed: int
     state_policy: StatePolicy
-    histogram_bins: int
-
-
-def _require_number(raw: object, where: str) -> float:
-    require_real((where, raw))
-    return float(raw)
+    ints: dict[str, int]  # the value of every key in _INT_KEYS
 
 
 def _tolerance(text: str) -> float:
@@ -94,32 +87,12 @@ def load_config(path: str | Path) -> FileConfig:
     if not isinstance(raw, dict):
         raise ValidationError(f"{path} must hold a JSON object")
 
-    resistors = raw.get("resistors_ohm")
-    if not isinstance(resistors, dict):
-        raise ValidationError("config needs a 'resistors_ohm' object")
-    try:
-        quad = ResistorQuad(
-            **{k: _require_number(resistors[k], f"resistors_ohm.{k}") for k in
-               ("r_la", "r_ha", "r_lb", "r_hb")}
-        )
-    except KeyError as exc:
-        raise ValidationError(f"resistors_ohm is missing {exc.args[0]!r}") from exc
-
+    quad = _real_block(raw, "resistors_ohm", ResistorQuad)
     v_la_sq = None
     if "v_la_variance_v2" in raw:
-        v_la_sq = _require_number(raw["v_la_variance_v2"], "v_la_variance_v2")
-
-    explicit = None
-    if "variances_v2" in raw:
-        block = raw["variances_v2"]
-        if not isinstance(block, dict):
-            raise ValidationError("'variances_v2' must be an object")
-        try:
-            explicit = NoiseVariances(
-                **{k: _require_number(block[k], f"variances_v2.{k}") for k in _VARIANCE_FIELDS}
-            )
-        except KeyError as exc:
-            raise ValidationError(f"variances_v2 is missing {exc.args[0]!r}") from exc
+        require_real(("v_la_variance_v2", raw["v_la_variance_v2"]))
+        v_la_sq = float(raw["v_la_variance_v2"])
+    explicit = _real_block(raw, "variances_v2", NoiseVariances) if "variances_v2" in raw else None
 
     policy_name = raw.get("state_policy", StatePolicy.ALTERNATE.value)
     try:
@@ -128,21 +101,24 @@ def load_config(path: str | Path) -> FileConfig:
         names = ", ".join(p.value for p in StatePolicy)
         raise ValidationError(f"state_policy must be one of {names}, got {policy_name!r}")
 
-    def _int_field(key: str, default: int) -> int:
-        value = raw.get(key, default)
+    ints = {key: raw.get(key, default) for key, default, _ in _INT_KEYS}
+    for key, value in ints.items():
         require_int(key, value)
-        return value
+    return FileConfig(quad, v_la_sq, explicit, policy, ints)
 
-    return FileConfig(
-        quad=quad,
-        v_la_sq=v_la_sq,
-        explicit_variances=explicit,
-        samples_per_bit=_int_field("samples_per_bit", 1000),
-        num_bits=_int_field("num_bits", 1_000_000),
-        master_seed=_int_field("master_seed", 0),
-        state_policy=policy,
-        histogram_bins=_int_field("histogram_bins", DEFAULT_HISTOGRAM_BINS),
-    )
+
+def _real_block(raw: dict, key: str, record: type):
+    """``record`` built from the JSON object raw[key], one real number per field, as floats."""
+    block = raw.get(key)
+    if not isinstance(block, dict):
+        raise ValidationError(f"config needs a {key!r} object")
+    values = {}
+    for name in (field.name for field in fields(record)):
+        if name not in block:
+            raise ValidationError(f"{key} is missing {name!r}")
+        require_real((f"{key}.{name}", block[name]))
+        values[name] = float(block[name])
+    return record(**values)
 
 
 def _resolve_variances(config: FileConfig) -> NoiseVariances:
@@ -159,8 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if config.v_la_sq is None:
         raise ValidationError("solve needs 'v_la_variance_v2' in the config")
     variances = solve_variances(config.quad, config.v_la_sq)
-    for name in _VARIANCE_FIELDS:
-        value = getattr(variances, name)
+    for name, value in asdict(variances).items():
         print(f"{name[:-3]},{value:.5f},{math.sqrt(value):.3f}")
     return 0
 
@@ -175,14 +150,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     residuals = check_security(config.quad, _resolve_variances(config))
     values = {name: getattr(residuals, name) for name in _RESIDUAL_OBSERVABLES}
     for name, value in values.items():
-        print(f"{name},{_fmt(value)}")
+        print(f"{name},{value:.17g}")
     if residuals.within(args.tolerance):
         print("PASS")
         return 0
     print("FAIL")
     worst = max(values, key=values.get)
     print(
-        f"FAIL: {worst} is {_fmt(values[worst])}, not below the tolerance {args.tolerance:g}; "
+        f"FAIL: {worst} is {values[worst]:.17g}, not below the tolerance {args.tolerance:g}; "
         f"the {_RESIDUAL_OBSERVABLES[worst]} differs between the LH and HL states",
         file=sys.stderr,
     )
@@ -196,25 +171,40 @@ def _write_lines(path: Path, header: str, lines) -> None:
         handle.writelines(lines)
 
 
-def _write_artifacts(
-    outdir: Path, config: FileConfig, sim: SimConfig, bins: int, threads: int
-) -> None:
-    result = run_exchange(sim, threads=threads)
+def cmd_run(args: argparse.Namespace) -> int:
+    config = load_config(args.config)
+    ints = {
+        key: config.ints[key] if (override := getattr(args, flag[2:])) is None else override
+        for key, _, flag in _INT_KEYS
+    }
+    bins = ints["histogram_bins"]
+    require_int("histogram bin count", bins, 1)
+    sim = SimConfig(
+        config.quad,
+        _resolve_variances(config),
+        state_policy=config.state_policy,
+        **{key: value for key, value in ints.items() if key != "histogram_bins"},
+    )
 
+    # the run and its analysis come before the output directory, so a failed run leaves none
+    result = run_exchange(sim, threads=args.threads)
+    report = ber_report(result)
+    hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
+
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     # every line is the one csv.writer would give: no field needs quoting, and
-    # f"{x:.17g}" on a Python float is _fmt's full-precision form
+    # .17g on a Python float is full double precision with a '.' separator
     _write_lines(
         outdir / "ber.csv",
         "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl\n",
         (
-            f"{entry.indicator.value},{_fmt(100.0 * entry.ber)},{_fmt(100.0 * entry.leak)},"
-            f"{_fmt(entry.threshold)},{entry.bits_lh},{entry.bits_hl}\n"
-            for entry in ber_report(result)
+            f"{entry.indicator.value},{100.0 * entry.ber:.17g},{100.0 * entry.leak:.17g},"
+            f"{entry.threshold:.17g},{entry.bits_lh},{entry.bits_hl}\n"
+            for entry in report
         ),
     )
-
-    for indicator in Indicator:
-        hist = histogram(result, indicator, bins)
+    for indicator, hist in hists.items():
         edges = hist.edges.tolist()
         _write_lines(
             outdir / f"hist_{indicator.value}.csv",
@@ -243,19 +233,12 @@ def _write_artifacts(
         ),
     )
 
+    # the inverse of load_config: fed back to `run`, it reproduces every artifact
     metadata = {
-        "resistors_ohm": {
-            "r_la": sim.quad.r_la,
-            "r_ha": sim.quad.r_ha,
-            "r_lb": sim.quad.r_lb,
-            "r_hb": sim.quad.r_hb,
-        },
-        "variances_v2": {name: getattr(sim.variances, name) for name in _VARIANCE_FIELDS},
-        "samples_per_bit": sim.samples_per_bit,
-        "num_bits": sim.num_bits,
-        "master_seed": sim.master_seed,
+        "resistors_ohm": asdict(sim.quad),
+        "variances_v2": asdict(sim.variances),
+        **ints,
         "state_policy": sim.state_policy.value,
-        "histogram_bins": bins,
         "generator_algorithm": GENERATOR_ALGORITHM,
         "numpy_version": np.__version__,
         "tool_version": __version__,
@@ -265,28 +248,6 @@ def _write_artifacts(
     with (outdir / "metadata.json").open("w") as handle:
         json.dump(metadata, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    num_bits = config.num_bits if args.bits is None else args.bits
-    samples = config.samples_per_bit if args.samples is None else args.samples
-    seed = config.master_seed if args.seed is None else args.seed
-    bins = config.histogram_bins if args.bins is None else args.bins
-    require_int("histogram bin count", bins, 1)
-
-    variances = _resolve_variances(config)
-    sim = SimConfig(
-        quad=config.quad,
-        variances=variances,
-        samples_per_bit=samples,
-        num_bits=num_bits,
-        master_seed=seed,
-        state_policy=config.state_policy,
-    )
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_artifacts(outdir, config, sim, bins, args.threads)
     print(f"artifacts written to {outdir}")
     return 0
 
@@ -328,13 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the Monte-Carlo exchange and write CSV artifacts")
     run.add_argument("config", help="JSON configuration file")
     run.add_argument("outdir", help="output directory for the artifacts")
-    run.add_argument("--bits", type=int, default=None, help="override num_bits")
-    run.add_argument("--samples", type=int, default=None, help="override samples_per_bit")
-    run.add_argument("--seed", type=int, default=None, help="override master_seed")
+    for key, _, flag in _INT_KEYS:
+        run.add_argument(flag, type=int, default=None, help=f"override {key}")
     run.add_argument(
         "--threads", type=int, default=0, help="worker processes, at most the CPU count (0: all)"
     )
-    run.add_argument("--bins", type=int, default=None, help="override histogram bin count")
     run.set_defaults(handler=cmd_run)
     return parser
 
@@ -353,6 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         # e.g. a resistance whose square exceeds the float range
         print(f"error: result out of floating-point range: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # e.g. a bit count whose per-bit columns cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -233,20 +232,23 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
     prod = np.empty((rows, n))
     mean = np.empty((rows, 1))
     columns = np.empty((3, hl_flags.size))
-    for offset in range(0, hl_flags.size, rows):
-        flags = hl_flags[offset : offset + rows]
-        k = flags.size
-        # the block's rows hold its LH bits, then its HL bits
-        order = np.concatenate((np.flatnonzero(~flags), np.flatnonzero(flags)))
-        bits = start + offset + order
-        # a short last block views the first 2*k*n draws: a [:, :k] slice of a
-        # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy
-        v_e, i_e = _wire_signals(
-            streams, config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
-        )
-        block = columns[:, offset : offset + k]
-        _window_moments(v_e, i_e, block, prod[:k], mean[:k])
-        block[:, order] = block.copy()  # column j was computed for bit offset + order[j]
+    # windows past the float range come out inf or nan, which the analysis rejects;
+    # the warnings numpy would print for them are silenced in every worker
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset in range(0, hl_flags.size, rows):
+            flags = hl_flags[offset : offset + rows]
+            k = flags.size
+            # the block's rows hold its LH bits, then its HL bits
+            order = np.concatenate((np.flatnonzero(~flags), np.flatnonzero(flags)))
+            bits = start + offset + order
+            # a short last block views the first 2*k*n draws: a [:, :k] slice of a
+            # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy
+            v_e, i_e = _wire_signals(
+                streams, config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
+            )
+            block = columns[:, offset : offset + k]
+            _window_moments(v_e, i_e, block, prod[:k], mean[:k])
+            block[:, order] = block.copy()  # column j was computed for bit offset + order[j]
     return columns
 
 
@@ -263,6 +265,9 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     workers = min(threads, cpus) if threads else cpus
     if workers == 1 or config.num_bits < 2 * workers:
         return ExchangeResult(hl_mask, *_simulate_chunk(config, 0, hl_mask))
+
+    # imported here, since only a run on two or more workers needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(64, -(-config.num_bits // (workers * 4)))
     columns = np.empty((3, config.num_bits))

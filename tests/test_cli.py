@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +391,66 @@ class TestOneLineErrors:
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
         assert_one_line_error(run_module("solve", str(path)))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # the largest accepted count: numpy fails at once to map its 2 EiB state mask
+            ("--bits", str(2**61), "--threads", "1"),
+            ("--threads", "-1"),
+        ],
+        ids=["bits-2**61", "threads-negative"],
+    )
+    def test_failed_run_leaves_no_directory(self, tmp_path, flags):
+        outdir = tmp_path / "out"
+        assert_one_line_error(run_module("run", write_config(tmp_path), str(outdir), *flags))
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_variances_warn_nothing(self, tmp_path, threads):
+        # every window's variance overflows to inf, which the BER analysis rejects
+        variances = dict.fromkeys(("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"), 1e308)
+        path = write_config(tmp_path, variances_v2=variances, samples_per_bit=50, num_bits=200)
+        outdir = tmp_path / "out"
+        done = run_module("run", path, str(outdir), "--threads", threads)
+        assert_one_line_error(done)
+        assert not outdir.exists()
+
+
+def test_import_leaves_out_multiprocessing():
+    # only a run on two or more workers imports the process pool
+    code = "import sys, kljn.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+class TestReadmeTranscripts:
+    @pytest.mark.parametrize(
+        "command",
+        ["solve config.json", "check config.json --solve", "check thermal-equilibrium.json"],
+    )
+    def test_output_matches(self, tmp_path, command):
+        text = README.read_text(encoding="utf-8")
+        # command -> transcript of every `kljn solve` and `kljn check` block
+        sessions = re.findall(r"```sh\n\$ kljn ((?:solve|check) [^\n]*)\n(.*?)```", text, re.DOTALL)
+        transcript = dict(sessions)[command]
+        config = json.loads(re.search(r"```json\n(.*?)```", text, re.DOTALL).group(1))
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        variances = re.search(r"Here `variances_v2` is `(\{.*?\})`", text).group(1)
+        config["variances_v2"] = json.loads(variances)
+        (tmp_path / "thermal-equilibrium.json").write_text(json.dumps(config))
+
+        args = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command.split()]
+        done = run_module(*args)
+        # a transcript shows stdout, then stderr; only a FAIL writes to stderr
+        failed = "FAIL" in done.stdout.splitlines()
+        assert done.returncode == (3 if failed else 0)
+        assert done.stdout + done.stderr == transcript
+        assert done.stderr == (transcript.splitlines(keepends=True)[-1] if failed else "")
 
 
 class TestUsageErrors:

@@ -219,7 +219,7 @@ class TestRunExchange:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr("kljn.simulation.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
         capped = run_exchange(small_config, threads=5000)
         assert pool_sizes == [2]
