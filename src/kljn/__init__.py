@@ -31,7 +31,6 @@ from .errors import (
 from .noise import (
     BOLTZMANN_J_PER_K,
     GENERATOR_ALGORITHM,
-    JohnsonParams,
     StreamSeed,
     effective_temperature,
     gaussian_block,
@@ -73,7 +72,6 @@ __all__ = [
     "HistogramData",
     "Indicator",
     "InfeasibleConfigError",
-    "JohnsonParams",
     "KljnError",
     "LengthMismatchError",
     "LineSignals",

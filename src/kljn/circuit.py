@@ -14,7 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInputError, LengthMismatchError, ValidationError, require_real
+from .errors import (
+    EmptyInputError,
+    LengthMismatchError,
+    ValidationError,
+    require_member,
+    require_real,
+)
 
 
 class LineState(Enum):
@@ -53,6 +59,7 @@ class ResistorQuad:
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_resistance, bob_resistance) on the wire in the given state."""
+        require_member("state", state, LineState)
         if state is LineState.LH:
             return self.r_la, self.r_hb
         return self.r_ha, self.r_lb
@@ -80,6 +87,7 @@ class NoiseVariances:
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_variance, bob_variance) of the sources on the wire."""
+        require_member("state", state, LineState)
         if state is LineState.LH:
             return self.v_la_sq, self.v_hb_sq
         return self.v_ha_sq, self.v_lb_sq

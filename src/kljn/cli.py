@@ -9,8 +9,10 @@ configuration, 3 security check FAIL.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -40,12 +42,15 @@ from .simulation import (
 from .solver import check_security, solve_variances
 
 DEFAULT_HISTOGRAM_BINS = 200
-# The integer config keys: (key, default, the `run` flag that overrides it)
+# Each config key's default: SimConfig's, and the histogram bin count, which only the CLI has
+_DEFAULTS = {field.name: field.default for field in fields(SimConfig)}
+_DEFAULTS["histogram_bins"] = DEFAULT_HISTOGRAM_BINS
+# The integer config keys and the `run` flag that overrides each
 _INT_KEYS = (
-    ("num_bits", 1_000_000, "--bits"),
-    ("samples_per_bit", 1000, "--samples"),
-    ("master_seed", 0, "--seed"),
-    ("histogram_bins", DEFAULT_HISTOGRAM_BINS, "--bins"),
+    ("num_bits", "--bits"),
+    ("samples_per_bit", "--samples"),
+    ("master_seed", "--seed"),
+    ("histogram_bins", "--bins"),
 )
 # Each security residual and the observable whose LH/HL mismatch it measures.
 _RESIDUAL_OBSERVABLES = {
@@ -94,14 +99,14 @@ def load_config(path: str | Path) -> FileConfig:
         v_la_sq = float(raw["v_la_variance_v2"])
     explicit = _real_block(raw, "variances_v2", NoiseVariances) if "variances_v2" in raw else None
 
-    policy_name = raw.get("state_policy", StatePolicy.ALTERNATE.value)
+    policy_name = raw.get("state_policy", _DEFAULTS["state_policy"].value)
     try:
         policy = StatePolicy(policy_name)
     except ValueError:
         names = ", ".join(p.value for p in StatePolicy)
         raise ValidationError(f"state_policy must be one of {names}, got {policy_name!r}")
 
-    ints = {key: raw.get(key, default) for key, default, _ in _INT_KEYS}
+    ints = {key: raw.get(key, _DEFAULTS[key]) for key, _ in _INT_KEYS}
     for key, value in ints.items():
         require_int(key, value)
     return FileConfig(quad, v_la_sq, explicit, policy, ints)
@@ -171,11 +176,22 @@ def _write_lines(path: Path, header: str, lines) -> None:
         handle.writelines(lines)
 
 
+def _check_outdir(outdir: Path) -> None:
+    """Raise the OSError that making ``outdir`` would, unless the path, or else its nearest
+    existing ancestor, is a directory. Creates nothing: a permission error shows on writing."""
+    for path in (outdir, *outdir.parents):
+        if path.is_dir():
+            return
+        if path.exists():
+            code = errno.EEXIST if path == outdir else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(outdir))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     ints = {
         key: config.ints[key] if (override := getattr(args, flag[2:])) is None else override
-        for key, _, flag in _INT_KEYS
+        for key, flag in _INT_KEYS
     }
     bins = ints["histogram_bins"]
     require_int("histogram bin count", bins, 1)
@@ -186,12 +202,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         **{key: value for key, value in ints.items() if key != "histogram_bins"},
     )
 
-    # the run and its analysis come before the output directory, so a failed run leaves none
+    # the run and its analysis come before the output directory, so a failed run leaves none;
+    # an output path that can never be a directory fails before them
+    outdir = Path(args.outdir)
+    _check_outdir(outdir)
     result = run_exchange(sim, threads=args.threads)
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
 
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     # every line is the one csv.writer would give: no field needs quoting, and
     # .17g on a Python float is full double precision with a '.' separator
@@ -289,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the Monte-Carlo exchange and write CSV artifacts")
     run.add_argument("config", help="JSON configuration file")
     run.add_argument("outdir", help="output directory for the artifacts")
-    for key, _, flag in _INT_KEYS:
+    for key, flag in _INT_KEYS:
         run.add_argument(flag, type=int, default=None, help=f"override {key}")
     run.add_argument(
         "--threads", type=int, default=0, help="worker processes, at most the CPU count (0: all)"

@@ -1,10 +1,11 @@
-"""Exception hierarchy for the KLJN simulation library, and the two rules that every
-scalar input is checked by: require_int and require_real.
+"""Exception hierarchy for the KLJN simulation library, and the rules that every
+scalar input is checked by: require_int, require_real and require_member.
 """
 
 from __future__ import annotations
 
 import math
+from enum import Enum
 
 
 class KljnError(Exception):
@@ -77,3 +78,9 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
         if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
             sign = "non-negative" if allow_zero else "positive"
             raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def require_member(name: str, value: object, kind: type[Enum]) -> None:
+    """Membership rule: ``value`` must be a member of the enum ``kind``; else ValidationError."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")

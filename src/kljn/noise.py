@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,22 +175,10 @@ class NormalStreams:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class JohnsonParams:
-    """Temperature (K) and bandwidth (Hz) for thermal-noise conversions."""
-
-    temperature: float
-    bandwidth: float
-    boltzmann_constant: float = field(default=BOLTZMANN_J_PER_K, init=False)
-
-    def __post_init__(self) -> None:
-        require_real(("temperature", self.temperature), ("bandwidth", self.bandwidth))
-
-
-def johnson_variance(resistance: float, params: JohnsonParams) -> float:
+def johnson_variance(resistance: float, temperature: float, bandwidth: float) -> float:
     """Band-limited thermal-noise voltage variance 4*k*T*R*B of a resistor."""
-    require_real(("resistance", resistance))
-    return 4.0 * params.boltzmann_constant * params.temperature * resistance * params.bandwidth
+    require_real(("resistance", resistance), ("temperature", temperature), ("bandwidth", bandwidth))
+    return 4.0 * BOLTZMANN_J_PER_K * temperature * resistance * bandwidth
 
 
 def effective_temperature(resistance: float, variance: float, bandwidth: float) -> float:

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
-from .errors import DegenerateInputError, ValidationError, require_int
+from .errors import DegenerateInputError, ValidationError, require_int, require_member
 from .noise import (
     GEN_HA,
     GEN_HB,
@@ -80,8 +80,7 @@ class SimConfig:
         require_int("samples_per_bit", self.samples_per_bit, 2)
         require_int("num_bits", self.num_bits, 1, MAX_BITS)
         require_int("master_seed", self.master_seed, 0, UINT64_MAX)
-        if not isinstance(self.state_policy, StatePolicy):
-            raise ValidationError(f"state_policy must be a StatePolicy, got {self.state_policy!r}")
+        require_member("state_policy", self.state_policy, StatePolicy)
 
 
 def _stream_ids(bits: np.ndarray, hl_flags: np.ndarray) -> np.ndarray:
@@ -153,6 +152,7 @@ def _bit_window(
     state: LineState, config: SimConfig, bit_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(v_e, i_e) of one bit, each of shape (1, samples_per_bit)."""
+    require_member("state", state, LineState)
     require_int("bit_index", bit_index, 0, config.num_bits - 1)
     n = config.samples_per_bit
     hl_flags = np.array([state is LineState.HL])
@@ -188,7 +188,7 @@ def assign_states(config: SimConfig) -> np.ndarray:
 # eq=False: identity equality, since == on array columns has no single truth value
 @dataclass(frozen=True, slots=True, eq=False)
 class ExchangeResult:
-    """Per-bit eavesdropper statistics of a whole run as read-only columns, by bit index."""
+    """Per-bit eavesdropper statistics of a whole run as finite, read-only columns by bit index."""
 
     hl_mask: np.ndarray  # True where the bit's true state is HL
     var_v: np.ndarray  # sample variance of v_e, V**2
@@ -204,13 +204,18 @@ class ExchangeResult:
             object.__setattr__(self, name, column)
         if not self.hl_mask.shape == self.var_v.shape == self.var_i.shape == self.cross.shape:
             raise ValidationError("exchange columns must all have the same length")
+        for indicator in Indicator:
+            if not np.isfinite(self.indicator_values(indicator)).all():
+                raise ValidationError(f"{indicator.value} values must all be finite")
 
     def state_mask(self, state: LineState) -> np.ndarray:
         """Boolean mask of the bits whose true state is ``state``."""
+        require_member("state", state, LineState)
         return self.hl_mask if state is LineState.HL else ~self.hl_mask
 
     def indicator_values(self, indicator: Indicator) -> np.ndarray:
         """All bits' values of one indicator, ordered by bit index."""
+        require_member("indicator", indicator, Indicator)
         if indicator is Indicator.CURRENT_VARIANCE:
             return self.var_i
         if indicator is Indicator.VOLTAGE_VARIANCE:
@@ -232,7 +237,7 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
     prod = np.empty((rows, n))
     mean = np.empty((rows, 1))
     columns = np.empty((3, hl_flags.size))
-    # windows past the float range come out inf or nan, which the analysis rejects;
+    # windows past the float range come out inf or nan, which ExchangeResult rejects;
     # the warnings numpy would print for them are silenced in every worker
     with np.errstate(over="ignore", invalid="ignore"):
         for offset in range(0, hl_flags.size, rows):
@@ -282,14 +287,6 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     return ExchangeResult(hl_mask, *columns)
 
 
-def _pooled(result: ExchangeResult, indicator: Indicator) -> tuple[np.ndarray, np.ndarray]:
-    """(values, hl_mask) of one indicator; the values must be finite."""
-    values = result.indicator_values(indicator)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{indicator.value} values must all be finite")
-    return values, result.hl_mask
-
-
 @dataclass(frozen=True, slots=True)
 class BerEntry:
     """Bit-error-rate result of thresholding one indicator."""
@@ -311,7 +308,7 @@ def estimate_ber(result: ExchangeResult, indicator: Indicator) -> BerEntry:
 
     Raises DegenerateInputError unless both states are present.
     """
-    values, hl_mask = _pooled(result, indicator)
+    values, hl_mask = result.indicator_values(indicator), result.hl_mask
     bits_hl = int(np.count_nonzero(hl_mask))
     bits_lh = int(values.size - bits_hl)
     if bits_lh == 0 or bits_hl == 0:
@@ -354,7 +351,7 @@ def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> H
     exactly one bin.
     """
     require_int("bin_count", bin_count, 1)
-    values, hl_mask = _pooled(result, indicator)
+    values, hl_mask = result.indicator_values(indicator), result.hl_mask
     if values.size == 0:
         raise DegenerateInputError("cannot histogram an empty exchange result")
     low = float(values.min())

@@ -406,9 +406,28 @@ class TestOneLineErrors:
         assert_one_line_error(run_module("run", write_config(tmp_path), str(outdir), *flags))
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_unusable_output_path_fails_before_the_run(
+        self, tmp_path, monkeypatch, capsys, outdir
+    ):
+        def run_exchange(*args, **kwargs):
+            pytest.fail("run_exchange was called")
+
+        monkeypatch.setattr(kljn.cli, "run_exchange", run_exchange)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        config = write_config(tmp_path)
+        assert main(["run", config, str(tmp_path / outdir), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert afile.read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_variances_warn_nothing(self, tmp_path, threads):
-        # every window's variance overflows to inf, which the BER analysis rejects
+        # every window's variance overflows to inf, which ExchangeResult rejects
         variances = dict.fromkeys(("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"), 1e308)
         path = write_config(tmp_path, variances_v2=variances, samples_per_bit=50, num_bits=200)
         outdir = tmp_path / "out"

@@ -6,7 +6,6 @@ import pytest
 from kljn import (
     BOLTZMANN_J_PER_K,
     GeneratorLayoutError,
-    JohnsonParams,
     KljnError,
     LineState,
     StreamSeed,
@@ -232,18 +231,20 @@ class TestStandardNormalStreams:
 
 class TestJohnson:
     def test_reference_values(self):
-        params = JohnsonParams(temperature=300.0, bandwidth=1.0)
-        assert johnson_variance(1000.0, params) == pytest.approx(1.65678e-17, rel=1e-5)
-        cold = JohnsonParams(temperature=1.0, bandwidth=1.0)
-        assert johnson_variance(1.0, cold) == pytest.approx(5.522596e-23, rel=1e-12)
+        assert johnson_variance(1000.0, 300.0, 1.0) == pytest.approx(1.65678e-17, rel=1e-5)
+        assert johnson_variance(1.0, 1.0, 1.0) == pytest.approx(5.522596e-23, rel=1e-12)
+        # the product 4*k*T*R*B in that order, with the one Boltzmann constant
+        assert johnson_variance(4700.0, 321.5, 25_000.0) == (
+            4.0 * BOLTZMANN_J_PER_K * 321.5 * 4700.0 * 25_000.0
+        )
 
     def test_linear_in_resistance(self):
-        params = JohnsonParams(temperature=300.0, bandwidth=10_000.0)
-        assert johnson_variance(2000.0, params) == 2.0 * johnson_variance(1000.0, params)
+        assert johnson_variance(2000.0, 300.0, 10_000.0) == 2.0 * johnson_variance(
+            1000.0, 300.0, 10_000.0
+        )
 
     def test_effective_temperature_round_trip(self):
-        params = JohnsonParams(temperature=321.5, bandwidth=25_000.0)
-        variance = johnson_variance(4700.0, params)
+        variance = johnson_variance(4700.0, 321.5, 25_000.0)
         assert effective_temperature(4700.0, variance, 25_000.0) == pytest.approx(
             321.5, rel=1e-12
         )
@@ -259,16 +260,9 @@ class TestJohnson:
         )
 
     def test_validation(self):
-        params = JohnsonParams(temperature=1.0, bandwidth=1.0)
         for bad in (0.0, float("inf"), True):
-            with pytest.raises(ValidationError):
-                JohnsonParams(temperature=bad, bandwidth=1.0)
-            with pytest.raises(ValidationError):
-                JohnsonParams(temperature=1.0, bandwidth=bad)
-            with pytest.raises(ValidationError):
-                johnson_variance(bad, params)
             for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
                 with pytest.raises(ValidationError):
+                    johnson_variance(*args)
+                with pytest.raises(ValidationError):
                     effective_temperature(*args)
-        with pytest.raises(TypeError):
-            JohnsonParams(temperature=1.0, bandwidth=1.0, boltzmann_constant=1.0)

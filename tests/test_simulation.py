@@ -336,16 +336,18 @@ class TestEstimateBer:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, small_result, bad):
-        bits = synthetic_bits([1.0, bad], [3.0, 4.0], Indicator.CROSS_CORRELATION)
+        # the result that estimate_ber and histogram would read cannot be built
+        message = "^cross_correlation values must all be finite$"
+        with pytest.raises(ValidationError, match=message):
+            synthetic_bits([1.0, bad], [3.0, 4.0], Indicator.CROSS_CORRELATION)
         n = small_result.hl_mask.size
         cross = np.where(np.arange(n) == 7, bad, 0.0)
         hl_mask = small_result.state_mask(LineState.HL)
-        columns = ExchangeResult(hl_mask, np.ones(n), np.ones(n), cross)
-        for stats in (bits, columns):
-            with pytest.raises(ValidationError):
-                estimate_ber(stats, Indicator.CROSS_CORRELATION)
-            with pytest.raises(ValidationError):
-                histogram(stats, Indicator.CROSS_CORRELATION, 4)
+        with pytest.raises(ValidationError, match=message):
+            ExchangeResult(hl_mask, np.ones(n), np.ones(n), cross)
+        # the columns are checked in Indicator order
+        with pytest.raises(ValidationError, match="^current_variance values"):
+            ExchangeResult([False], [bad], [bad], [bad])
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(23)
@@ -393,6 +395,35 @@ class TestHistogram:
         for bad in (0, True, 1.5):
             with pytest.raises(ValidationError):
                 histogram(small_result, Indicator.CURRENT_VARIANCE, bad)
+
+
+class TestEnumArguments:
+    """An enum argument must be a member; its value string is not one and raises."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda config, result: scatter_trace("HL", config, 1), id="scatter_trace"),
+            pytest.param(lambda config, result: result.state_mask("HL"), id="state_mask"),
+            pytest.param(
+                lambda config, result: result.indicator_values("voltage_variance"),
+                id="indicator_values",
+            ),
+            pytest.param(
+                lambda config, result: estimate_ber(result, "current_variance"), id="estimate_ber"
+            ),
+            pytest.param(
+                lambda config, result: histogram(result, "voltage_variance", 3), id="histogram"
+            ),
+            pytest.param(lambda config, result: config.quad.connected("LH"), id="quad.connected"),
+            pytest.param(
+                lambda config, result: config.variances.connected("LH"), id="variances.connected"
+            ),
+        ],
+    )
+    def test_value_string_is_rejected(self, small_config, small_result, call):
+        with pytest.raises(ValidationError):
+            call(small_config, small_result)
 
 
 class TestScatterTrace:
@@ -476,13 +507,21 @@ KERNEL_CASES = [
 ]
 
 
-def kernel_config(quad, variances, policy, samples, seed):
-    # a few bits past the first kernel block, so the run straddles a block boundary
+# runs shorter than one kernel block; the 1-bit alternate run has no HL bit
+SHORT_RUN_CASES = [
+    pytest.param(policy, 32, 5, bits, id=f"{policy.value}-n32-bits{bits}")
+    for policy in StatePolicy
+    for bits in (1, 2, 3)
+]
+
+
+def kernel_config(quad, variances, policy, samples, seed, bits=None):
+    # by default a few bits past the first kernel block, so the run straddles a block boundary
     return SimConfig(
         quad=quad,
         variances=variances,
         samples_per_bit=samples,
-        num_bits=_BLOCK_SAMPLES // samples + 3,
+        num_bits=bits or _BLOCK_SAMPLES // samples + 3,
         master_seed=seed,
         state_policy=policy,
     )
@@ -490,9 +529,12 @@ def kernel_config(quad, variances, policy, samples, seed):
 
 class TestKernelMatchesPerBitReference:
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("policy, samples, seed", KERNEL_CASES)
-    def test_columns(self, asymmetric_quad, asymmetric_vars, policy, samples, seed, threads):
-        config = kernel_config(asymmetric_quad, asymmetric_vars, policy, samples, seed)
+    @pytest.mark.parametrize(
+        "policy, samples, seed, bits",
+        [pytest.param(*case.values, None, id=case.id) for case in KERNEL_CASES] + SHORT_RUN_CASES,
+    )
+    def test_columns(self, asymmetric_quad, asymmetric_vars, policy, samples, seed, bits, threads):
+        config = kernel_config(asymmetric_quad, asymmetric_vars, policy, samples, seed, bits)
         hl_mask, (var_v, var_i, cross), _ = reference_run(config)
         result = run_exchange(config, threads=threads)
         assert np.array_equal(result.state_mask(LineState.HL), hl_mask)
