@@ -182,9 +182,18 @@ def _check_outdir(outdir: Path) -> None:
     for path in (outdir, *outdir.parents):
         if path.is_dir():
             return
-        if path.exists():
+        if path.exists() or path == outdir and path.is_symlink():
             code = errno.EEXIST if path == outdir else errno.ENOTDIR
             raise OSError(code, os.strerror(code), str(outdir))
+        if path.is_symlink():
+            # an ancestor link to nowhere: mkdir names the link, or the output path
+            # where the link cannot be followed at all (a loop, a file on the way)
+            try:
+                path.stat()
+            except FileNotFoundError:
+                raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(path)) from None
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(outdir)) from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

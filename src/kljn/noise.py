@@ -36,13 +36,6 @@ STATE_COIN_STREAM_ID = 4
 MAX_BITS = (UINT64_MAX + 1) // STREAM_STRIDE
 
 
-def stream_id_for(bit_index: int, generator_index: int) -> int:
-    """Stream id of one generator slot of one bit: bit_index * 8 + slot."""
-    require_int("generator_index", generator_index, 0, STREAM_STRIDE - 1)
-    require_int("bit_index", bit_index, 0, MAX_BITS - 1)
-    return bit_index * STREAM_STRIDE + generator_index
-
-
 @dataclass(frozen=True, slots=True)
 class StreamSeed:
     """Identity of one noise stream.

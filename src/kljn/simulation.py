@@ -148,30 +148,22 @@ def _window_moments(
         np.true_divide(variance, n - 1, out=variance)
 
 
-def _bit_window(
-    state: LineState, config: SimConfig, bit_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(v_e, i_e) of one bit, each of shape (1, samples_per_bit)."""
-    require_member("state", state, LineState)
-    require_int("bit_index", bit_index, 0, config.num_bits - 1)
-    n = config.samples_per_bit
-    hl_flags = np.array([state is LineState.HL])
-    return _wire_signals(
-        NormalStreams(config.master_seed),
-        config,
-        np.array([bit_index]),
-        hl_flags,
-        np.empty((2, 1, n)),
-        np.empty((1, n)),
-    )
-
-
 def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
     """Raw (v_e, i_e) pairs of one bit window, shape (samples_per_bit, 2).
 
     Exactly the samples run_exchange reduces to that bit's statistics.
     """
-    v_e, i_e = _bit_window(state, config, bit_index)
+    require_member("state", state, LineState)
+    require_int("bit_index", bit_index, 0, config.num_bits - 1)
+    n = config.samples_per_bit
+    v_e, i_e = _wire_signals(
+        NormalStreams(config.master_seed),
+        config,
+        np.array([bit_index]),
+        np.array([state is LineState.HL]),
+        np.empty((2, 1, n)),
+        np.empty((1, n)),
+    )
     return np.column_stack([v_e[0], i_e[0]])
 
 

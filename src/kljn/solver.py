@@ -42,17 +42,6 @@ class SecurityResiduals:
         return self.worst < tolerance
 
 
-@dataclass(frozen=True, slots=True)
-class Feasibility:
-    """Outcome of a feasibility screen: a boolean plus the failure reason."""
-
-    feasible: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 def _singular(name: str, denominator: float, scale: float) -> SingularDenominatorError:
     return SingularDenominatorError(
         f"denominator for {name} is {denominator:.3e} against term scale {scale:.3e}; "
@@ -124,16 +113,3 @@ def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityRes
         float(abs(c_lh - c_hl) / math.sqrt(correlation_scale)),
     )
 
-
-def is_feasible(quad: ResistorQuad, v_la_sq: float) -> Feasibility:
-    """Screen a resistor set: can it be secured with positive variances?
-
-    Never raises for solver failures; the reason lands in the diagnostic.
-    """
-    try:
-        solve_variances(quad, v_la_sq)
-    except InfeasibleConfigError as exc:
-        return Feasibility(False, f"{exc.variance_name} would be {exc.value:.6g} V**2")
-    except SingularDenominatorError as exc:
-        return Feasibility(False, str(exc))
-    return Feasibility(True)

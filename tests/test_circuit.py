@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from kljn import (
-    EmptyInputError,
-    LengthMismatchError,
-    LineState,
-    NoiseVariances,
-    ResistorQuad,
-    ValidationError,
-    line_signals,
-    theoretical_moments,
-)
+from kljn import LineState, NoiseVariances, ResistorQuad, ValidationError
+from kljn.circuit import line_signals, theoretical_moments
+from kljn.errors import EmptyInputError, LengthMismatchError
 
 
 @pytest.fixture

@@ -406,14 +406,15 @@ class TestOneLineErrors:
         assert_one_line_error(run_module("run", write_config(tmp_path), str(outdir), *flags))
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
-    def test_unusable_output_path_fails_before_the_run(
-        self, tmp_path, monkeypatch, capsys, outdir
-    ):
+    @pytest.fixture
+    def no_run(self, monkeypatch):
         def run_exchange(*args, **kwargs):
             pytest.fail("run_exchange was called")
 
         monkeypatch.setattr(kljn.cli, "run_exchange", run_exchange)
+
+    @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
+    def test_unusable_output_path_fails_before_the_run(self, tmp_path, no_run, capsys, outdir):
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         config = write_config(tmp_path)
@@ -424,6 +425,25 @@ class TestOneLineErrors:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert afile.read_text() == "kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    @pytest.mark.parametrize(
+        "outdir, named",
+        [("nowhere", "nowhere"), ("nowhere/sub/out", "nowhere"), ("loop/sub", "loop/sub")],
+        ids=["dangling-link", "under-a-dangling-link", "under-a-link-loop"],
+    )
+    def test_broken_link_fails_before_the_run(self, tmp_path, no_run, capsys, outdir, named):
+        (tmp_path / "nowhere").symlink_to(tmp_path / "missing")
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        config = write_config(tmp_path)
+        assert main(["run", config, str(tmp_path / outdir), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the line mkdir's own error gives, naming the path that mkdir names
+        with pytest.raises(OSError) as made:
+            (tmp_path / outdir).mkdir(parents=True, exist_ok=True)
+        assert captured.err == f"error: {made.value}\n"
+        assert made.value.filename == str(tmp_path / named)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "loop", "nowhere"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_variances_warn_nothing(self, tmp_path, threads):

@@ -5,52 +5,43 @@ import pytest
 
 from kljn import (
     BOLTZMANN_J_PER_K,
-    GeneratorLayoutError,
-    KljnError,
     LineState,
-    StreamSeed,
     ValidationError,
     effective_temperature,
-    gaussian_block,
     johnson_variance,
-    line_signals,
-    stream_id_for,
-    theoretical_moments,
 )
+from kljn.circuit import line_signals, theoretical_moments
+from kljn.errors import GeneratorLayoutError, KljnError
 from kljn.noise import (
+    GEN_HA,
     GEN_HB,
     GEN_LA,
+    GEN_LB,
     STATE_COIN_STREAM_ID,
     STREAM_STRIDE,
     NormalStreams,
+    StreamSeed,
+    gaussian_block,
 )
+from kljn.simulation import _stream_ids
 
 
 class TestStreamLayout:
+    """The ids the kernel draws each bit's connected sources from: bit * STREAM_STRIDE + slot."""
+
     def test_block_layout(self):
-        assert stream_id_for(0, GEN_LA) == 0
-        assert stream_id_for(0, GEN_HB) == 3
-        assert stream_id_for(1, GEN_LA) == STREAM_STRIDE
-        assert stream_id_for(3, GEN_HB) == 27
+        assert (STREAM_STRIDE, GEN_LA, GEN_HA, GEN_LB, GEN_HB) == (8, 0, 1, 2, 3)
+        ids = _stream_ids(np.array([0, 1, 3, 3]), np.array([False, False, False, True]))
+        # row 0 is Alice's source, row 1 Bob's: (la, hb) in LH, (ha, lb) in HL
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [[0, 8, 24, 25], [3, 11, 27, 26]]
 
     def test_coin_stream_never_collides_with_noise_slots(self):
-        noise_ids = {
-            stream_id_for(bit, slot) for bit in range(100) for slot in range(4)
-        }
+        # every bit of 100 in both states: all four generator slots
+        bits = np.repeat(np.arange(100), 2)
+        noise_ids = set(_stream_ids(bits, np.tile([False, True], 100)).ravel().tolist())
+        assert len(noise_ids) == 400
         assert STATE_COIN_STREAM_ID not in noise_ids
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValidationError):
-            stream_id_for(-1, 0)
-        with pytest.raises(ValidationError):
-            stream_id_for(0, 8)
-        with pytest.raises(ValidationError):
-            stream_id_for(2**63, 0)
-        for bad in (1.5, True):
-            with pytest.raises(ValidationError):
-                stream_id_for(bad, 0)
-            with pytest.raises(ValidationError):
-                stream_id_for(0, bad)
 
 
 class TestStreamSeed:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kljn import (
-    DegenerateInputError,
     ExchangeResult,
     Indicator,
     LineState,
@@ -20,8 +19,9 @@ from kljn import (
     histogram,
     run_exchange,
     scatter_trace,
-    theoretical_moments,
 )
+from kljn.circuit import theoretical_moments
+from kljn.errors import DegenerateInputError
 from kljn.simulation import _BLOCK_SAMPLES, assign_states
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from kljn import (
@@ -13,10 +13,9 @@ from kljn import (
     SingularDenominatorError,
     ValidationError,
     check_security,
-    is_feasible,
     solve_variances,
-    theoretical_moments,
 )
+from kljn.circuit import theoretical_moments
 from kljn.solver import SINGULAR_RTOL
 
 RESIDUAL_NAMES = ("current_residual", "voltage_residual", "cross_residual")
@@ -29,8 +28,11 @@ def random_feasible_quads(count, seed):
     while len(quads) < count:
         r = np.exp(rng.uniform(np.log(100.0), np.log(100_000.0), 4))
         quad = ResistorQuad(r_la=r[0], r_ha=r[1], r_lb=r[2], r_hb=r[3])
-        if is_feasible(quad, 1.0):
-            quads.append(quad)
+        try:
+            solve_variances(quad, 1.0)
+        except (InfeasibleConfigError, SingularDenominatorError):
+            continue
+        quads.append(quad)
     return quads
 
 
@@ -336,27 +338,9 @@ class TestCheckSecurityProperties:
         # denominators carry a factor r_la - r_ha), so keep it 0.01 % apart
         assume(abs(r_la - r_ha) > 1e-4 * max(r_la, r_ha) and r_lb != r_hb)
         quad = ResistorQuad(r_la, r_ha, r_lb, r_hb)
-        assume(is_feasible(quad, v_la_sq))
-        residuals = check_security(quad, solve_variances(quad, v_la_sq))
+        try:
+            variances = solve_variances(quad, v_la_sq)
+        except (InfeasibleConfigError, SingularDenominatorError):
+            reject()
+        residuals = check_security(quad, variances)
         assert residuals.within(1e-10), (quad, residuals)
-
-
-class TestIsFeasible:
-    def test_feasible(self, asymmetric_quad, symmetric_quad):
-        assert is_feasible(asymmetric_quad, 1.0)
-        assert is_feasible(symmetric_quad, 1.0)
-        assert is_feasible(asymmetric_quad, 1.0).reason is None
-
-    def test_infeasible_reason_names_the_variance(self):
-        quad = ResistorQuad(r_la=5000.0, r_ha=1000.0, r_lb=1000.0, r_hb=2000.0)
-        verdict = is_feasible(quad, 1.0)
-        assert not verdict
-        assert "v_hb_sq" in verdict.reason
-
-    def test_singular_is_reported_not_raised(self):
-        quad = ResistorQuad(
-            r_la=1000.0, r_ha=np.nextafter(1000.0, np.inf), r_lb=2000.0, r_hb=3000.0
-        )
-        verdict = is_feasible(quad, 1.0)
-        assert not verdict
-        assert "degenerate" in verdict.reason
