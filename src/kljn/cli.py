@@ -9,11 +9,10 @@ configuration, 3 security check FAIL.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
-import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -126,20 +125,15 @@ def _real_block(raw: dict, key: str, record: type):
     return record(**values)
 
 
-def _resolve_variances(config: FileConfig) -> NoiseVariances:
-    """Explicit variances win; otherwise solve from the anchor variance."""
-    if config.explicit_variances is not None:
-        return config.explicit_variances
+def _solved(config: FileConfig, missing: str) -> NoiseVariances:
+    """The variances solved from the anchor variance; ``missing`` is the error when it is absent."""
     if config.v_la_sq is None:
-        raise ValidationError("config needs 'variances_v2' or 'v_la_variance_v2'")
+        raise ValidationError(missing)
     return solve_variances(config.quad, config.v_la_sq)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if config.v_la_sq is None:
-        raise ValidationError("solve needs 'v_la_variance_v2' in the config")
-    variances = solve_variances(config.quad, config.v_la_sq)
+    variances = _solved(load_config(args.config), "solve needs 'v_la_variance_v2' in the config")
     for name, value in asdict(variances).items():
         print(f"{name[:-3]},{value:.5f},{math.sqrt(value):.3f}")
     return 0
@@ -147,12 +141,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if config.explicit_variances is None and not args.solve:
+    if args.solve:
+        variances = _solved(config, "check --solve needs 'v_la_variance_v2' in the config")
+    elif (variances := config.explicit_variances) is None:
         raise ValidationError(
             "check needs an explicit 'variances_v2' block (or pass --solve "
             "to derive it from 'v_la_variance_v2')"
         )
-    residuals = check_security(config.quad, _resolve_variances(config))
+    residuals = check_security(config.quad, variances)
     values = {name: getattr(residuals, name) for name in _RESIDUAL_OBSERVABLES}
     for name, value in values.items():
         print(f"{name},{value:.17g}")
@@ -176,26 +172,6 @@ def _write_lines(path: Path, header: str, lines) -> None:
         handle.writelines(lines)
 
 
-def _check_outdir(outdir: Path) -> None:
-    """Raise the OSError that making ``outdir`` would, unless the path, or else its nearest
-    existing ancestor, is a directory. Creates nothing: a permission error shows on writing."""
-    for path in (outdir, *outdir.parents):
-        if path.is_dir():
-            return
-        if path.exists() or path == outdir and path.is_symlink():
-            code = errno.EEXIST if path == outdir else errno.ENOTDIR
-            raise OSError(code, os.strerror(code), str(outdir))
-        if path.is_symlink():
-            # an ancestor link to nowhere: mkdir names the link, or the output path
-            # where the link cannot be followed at all (a loop, a file on the way)
-            try:
-                path.stat()
-            except FileNotFoundError:
-                raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(path)) from None
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, str(outdir)) from None
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     ints = {
@@ -206,15 +182,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     require_int("histogram bin count", bins, 1)
     sim = SimConfig(
         config.quad,
-        _resolve_variances(config),
+        config.explicit_variances
+        or _solved(config, "config needs 'variances_v2' or 'v_la_variance_v2'"),
         state_policy=config.state_policy,
         **{key: value for key, value in ints.items() if key != "histogram_bins"},
     )
 
-    # the run and its analysis come before the output directory, so a failed run leaves none;
-    # an output path that can never be a directory fails before them
+    # mkdir itself shows that the output directory can be made, with its own error if not;
+    # the levels it made go again, so a run that then fails leaves no directory
     outdir = Path(args.outdir)
-    _check_outdir(outdir)
+    made = [path for path in (outdir, *outdir.parents) if not path.exists()]
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    finally:
+        for path in made:  # deepest first; a level mkdir did not make is left as it is
+            with suppress(OSError):
+                path.rmdir()
     result = run_exchange(sim, threads=args.threads)
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
@@ -309,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--solve",
         action="store_true",
-        help="derive variances from v_la_variance_v2 instead of requiring variances_v2",
+        help="check the variances solved from v_la_variance_v2 instead of variances_v2",
     )
     check.set_defaults(handler=cmd_check)
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -163,6 +164,32 @@ class TestCheckCommand:
 
     def test_without_variances_or_flag_exits_1(self, tmp_path):
         assert main(["check", write_config(tmp_path)]) == 1
+
+    def test_solve_flag_checks_the_solved_set(self, tmp_path, capsys):
+        # the thermal-equilibrium block is insecure; --solve sets it aside for the solved set
+        path = write_config(
+            tmp_path,
+            variances_v2={"v_la_sq": 1.0, "v_ha_sq": 10.0, "v_lb_sq": 5.0, "v_hb_sq": 9.0},
+        )
+        assert main(["check", path, "--solve"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+        assert main(["check", path]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+    def test_solve_flag_without_anchor_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "explicit.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "resistors_ohm": SYMMETRIC,
+                    "variances_v2": {"v_la_sq": 1, "v_ha_sq": 9, "v_lb_sq": 1, "v_hb_sq": 9},
+                }
+            )
+        )
+        assert main(["check", str(path), "--solve"]) == 1
+        assert capsys.readouterr().err == (
+            "error: check --solve needs 'v_la_variance_v2' in the config\n"
+        )
 
     def test_tight_tolerance_flag(self, tmp_path):
         # rounded variances are secure only at coarse tolerance
@@ -393,18 +420,25 @@ class TestOneLineErrors:
         assert_one_line_error(run_module("solve", str(path)))
 
     @pytest.mark.parametrize(
-        "flags",
+        "outdir, flags",
         [
             # the largest accepted count: numpy fails at once to map its 2 EiB state mask
-            ("--bits", str(2**61), "--threads", "1"),
-            ("--threads", "-1"),
+            ("out", ("--bits", str(2**61), "--threads", "1")),
+            ("out", ("--threads", "-1")),
+            ("new/a/b", ("--threads", "-1")),
+            # a directory that was there before the run stays, and stays empty
+            ("empty", ("--threads", "-1")),
+            # mkdir makes `new`, then fails on the name: `new` goes too
+            ("new/" + "x" * 300, ("--threads", "1")),
         ],
-        ids=["bits-2**61", "threads-negative"],
+        ids=["bits-2**61", "threads-negative", "nested", "existing-empty", "name-too-long"],
     )
-    def test_failed_run_leaves_no_directory(self, tmp_path, flags):
-        outdir = tmp_path / "out"
-        assert_one_line_error(run_module("run", write_config(tmp_path), str(outdir), *flags))
-        assert not outdir.exists()
+    def test_failed_run_leaves_no_directory(self, tmp_path, outdir, flags):
+        config = write_config(tmp_path)
+        (tmp_path / "empty").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert_one_line_error(run_module("run", config, str(tmp_path / outdir), *flags))
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.fixture
     def no_run(self, monkeypatch):
@@ -425,6 +459,20 @@ class TestOneLineErrors:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         assert afile.read_text() == "kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    def test_mkdir_error_fails_before_the_run(self, tmp_path, no_run, capsys, monkeypatch):
+        # as root no directory is unwritable, so mkdir's permission error is injected
+        def mkdir(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        outdir = tmp_path / "locked" / "out"
+        assert main(["run", write_config(tmp_path), str(outdir), "--threads", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(PermissionError) as made:
+            outdir.mkdir(parents=True, exist_ok=True)
+        assert captured.err == f"error: {made.value}\n"
 
     @pytest.mark.parametrize(
         "outdir, named",
