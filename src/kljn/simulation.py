@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
-from .errors import DegenerateInputError, ValidationError, require_int, require_member
+from .errors import DegenerateInputError, KljnError, ValidationError, require_int, require_member
 from .noise import (
     GEN_HA,
     GEN_HB,
@@ -216,7 +216,7 @@ class ExchangeResult:
 
 
 def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
-    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); process-pool worker.
+    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); one worker's share.
 
     The generator and the working buffers are made once, for one block, and
     every block draws, combines and reduces in them, so the chunk's memory
@@ -249,11 +249,24 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
     return columns
 
 
+def _send_share(sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> None:
+    """Child-process target: send _simulate_chunk's rows, or the exception it raised."""
+    with sender:
+        try:
+            part = _simulate_chunk(config, start, hl_flags)
+        except Exception as exc:
+            part = exc
+        sender.send(part)
+
+
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     """Transfer num_bits bits and collect every bit's statistics.
 
     ``threads`` asks for worker processes, at most the machine's CPU count;
-    0 picks the CPU count. The result is identical for every thread count and
+    0 picks the CPU count. This process is one of them, so N workers start
+    N - 1 child processes, and none outlives the call. A child that dies
+    without a result raises KljnError; an exception a child raises is raised
+    here with its own type. The result is identical for every thread count and
     scheduling order because each bit's streams are keyed by its index alone.
     """
     require_int("threads", threads, 0)
@@ -264,19 +277,47 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
         return ExchangeResult(hl_mask, *_simulate_chunk(config, 0, hl_mask))
 
     # imported here, since only a run on two or more workers needs multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    chunk = max(64, -(-config.num_bits // (workers * 4)))
-    columns = np.empty((3, config.num_bits))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_simulate_chunk, config, start, hl_mask[start : start + chunk]): start
-            for start in range(0, config.num_bits, chunk)
-        }
-        for future, start in futures.items():
-            part = future.result()
-            columns[:, start : start + part.shape[1]] = part
-    return ExchangeResult(hl_mask, *columns)
+    # contiguous shares; this process computes share 0 while one child computes each other
+    bounds = [config.num_bits * k // workers for k in range(workers + 1)]
+    shares = list(zip(bounds[1:-1], bounds[2:]))
+    receivers, children = [], []
+    try:
+        for start, stop in shares:
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            receivers.append(receiver)
+            # the parent's copy of the sending end is closed once the child holds its own,
+            # so a child that dies leaves its receiver at end of file
+            with sender:
+                child = multiprocessing.Process(
+                    target=_send_share, args=(sender, config, start, hl_mask[start:stop])
+                )
+                child.start()
+            children.append(child)
+        parts = [_simulate_chunk(config, 0, hl_mask[: bounds[1]])]
+        for child, receiver, (start, stop) in zip(children, receivers, shares):
+            try:
+                part = receiver.recv()
+            except EOFError:
+                child.join()
+                raise KljnError(
+                    f"worker process for bits [{start}, {stop}) exited with code "
+                    f"{child.exitcode} before sending its result"
+                ) from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for receiver in receivers:
+            receiver.close()
+        for child in children:
+            child.join()
+    return ExchangeResult(hl_mask, *np.concatenate(parts, axis=1))
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -504,8 +505,46 @@ class TestOneLineErrors:
         assert not outdir.exists()
 
 
+def _no_memory():
+    raise MemoryError("no room for the share")
+
+
+@pytest.mark.parametrize(
+    "fail, error",
+    [
+        (
+            lambda: os._exit(9),
+            "worker process for bits [40, 80) exited with code 9 before sending its result",
+        ),
+        # an exception the child sends keeps its type, and with it its error line
+        (_no_memory, "out of memory: no room for the share"),
+    ],
+    ids=["child-dies", "child-raises"],
+)
+def test_failed_child_gives_one_line_error(tmp_path, capsys, monkeypatch, fail, error):
+    # 2 workers; the child is forked, so it runs this test's _simulate_chunk, which
+    # calls ``fail`` in the child only
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+    parent = os.getpid()
+    real_chunk = kljn.simulation._simulate_chunk
+
+    def chunk(config, start, hl_flags):
+        if os.getpid() != parent:
+            fail()
+        return real_chunk(config, start, hl_flags)
+
+    monkeypatch.setattr(kljn.simulation, "_simulate_chunk", chunk)
+    outdir = tmp_path / "out"
+    path = write_config(tmp_path, samples_per_bit=16, num_bits=80)
+    assert main(["run", path, str(outdir), "--threads", "2"]) == 1
+    assert multiprocessing.active_children() == []
+    assert not outdir.exists()
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 def test_import_leaves_out_multiprocessing():
-    # only a run on two or more workers imports the process pool
+    # only a run on two or more workers imports multiprocessing
     code = "import sys, kljn.cli; print('multiprocessing' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

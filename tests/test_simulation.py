@@ -1,7 +1,7 @@
-import concurrent.futures
 import dataclasses
 import functools
 import hashlib
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -199,33 +199,52 @@ class TestRunExchange:
                 small_result.indicator_values(indicator),
             )
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch, small_config, small_result):
-        pool_sizes = []
+    @pytest.fixture
+    def children(self, monkeypatch):
+        """Every multiprocessing.Process that run_exchange makes, in order."""
+        made = []
+        real_process = multiprocessing.Process
 
-        class InlinePool:
-            """Stands in for ProcessPoolExecutor: records max_workers, runs each task at once."""
+        def process(*args, **kwargs):
+            made.append(real_process(*args, **kwargs))
+            return made[-1]
 
-            def __init__(self, max_workers):
-                pool_sizes.append(max_workers)
+        monkeypatch.setattr(multiprocessing, "Process", process)
+        return made
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    def test_workers_capped_at_cpu_count(self, monkeypatch, children, small_config, small_result):
         monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
         capped = run_exchange(small_config, threads=5000)
-        assert pool_sizes == [2]
+        # 2 workers: this process and exactly one child, which finished cleanly
+        assert [child.exitcode for child in children] == [0]
         for indicator in Indicator:
             assert np.array_equal(
                 capped.indicator_values(indicator), small_result.indicator_values(indicator)
+            )
+
+    @pytest.mark.parametrize("policy", list(StatePolicy))
+    @pytest.mark.parametrize("num_bits", [8, 11, 4001])
+    def test_uneven_shares_equal_serial(
+        self, monkeypatch, children, asymmetric_quad, asymmetric_vars, num_bits, policy
+    ):
+        # 4 workers give 3 children; 8 bits is the smallest run they split
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 4)
+        config = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=16,
+            num_bits=num_bits,
+            master_seed=31,
+            state_policy=policy,
+        )
+        parallel = run_exchange(config, threads=0)
+        assert [child.exitcode for child in children] == [0, 0, 0]
+        assert multiprocessing.active_children() == []
+        serial = run_exchange(config, threads=1)
+        assert np.array_equal(parallel.hl_mask, serial.hl_mask)
+        for indicator in Indicator:
+            assert np.array_equal(
+                parallel.indicator_values(indicator), serial.indicator_values(indicator)
             )
 
     def test_random_policy_is_roughly_balanced(self, asymmetric_quad, asymmetric_vars):
