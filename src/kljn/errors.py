@@ -29,7 +29,12 @@ class DegenerateInputError(ValidationError):
 
 
 class GeneratorLayoutError(KljnError):
-    """numpy's Philox state does not have the memory layout the noise streams write."""
+    """numpy does not have what the noise streams rely on.
+
+    Either its Philox state does not have the memory layout the streams write,
+    or its exported C ``random_standard_normal_fill``, which draws them, is
+    missing or does not draw the values of ``Generator.standard_normal``.
+    """
 
 
 class SingularDenominatorError(KljnError):

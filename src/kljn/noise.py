@@ -11,6 +11,7 @@ thermal equilibrium simply corresponds to a resistor-specific temperature.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,30 @@ _PROBE_KEY = (0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0)
 _PROBE_BUFFER_POS = 3
 
 
+@functools.cache
+def _standard_normal_fill():
+    """numpy's C ``random_standard_normal_fill(bitgen_t *, npy_intp, double *)``.
+
+    The function numpy's own CFFI example calls; it is exported by the
+    ``numpy.random._generator`` extension and draws the values of
+    ``Generator.standard_normal`` without its argument parsing, output check
+    and bit-generator lock. Resolved on first use, so importing ``kljn`` never
+    depends on it.
+    """
+    from numpy.random import _generator
+
+    try:
+        fill = ctypes.PyDLL(_generator.__file__).random_standard_normal_fill
+    except AttributeError:
+        raise GeneratorLayoutError(
+            f"numpy {np.__version__}'s random._generator exports no "
+            "random_standard_normal_fill, so its streams cannot be drawn"
+        ) from None
+    fill.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    fill.restype = None
+    return fill
+
+
 class NormalStreams:
     """Unit-variance Gaussian draws of any stream of one master seed, from one Philox.
 
@@ -96,27 +121,39 @@ class NormalStreams:
     a zero counter and an empty output buffer is a fresh stream. Those words
     are written in place through numpy's ``Philox.ctypes.state_address``,
     which costs a fraction of building a generator or setting its ``state``
-    per stream. Construction checks that numpy's ``Philox.state`` reads the
-    written words back and raises GeneratorLayoutError if it does not. One
-    object serves one thread; the kernel builds one per chunk.
+    per stream, and each stream is drawn by one call to numpy's C
+    ``random_standard_normal_fill``, the call numpy's CFFI example makes.
+    Construction checks that numpy's ``Philox.state`` reads the written words
+    back and that the C call draws the bytes of ``Generator.standard_normal``,
+    and raises GeneratorLayoutError if either does not hold. The C call
+    bypasses numpy's bit-generator lock, so one object serves one thread; the
+    kernel builds one per chunk.
     """
 
-    __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_draw")
+    __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_fill", "_bitgen_ptr")
 
     def __init__(self, master_seed: int) -> None:
         require_int("master_seed", master_seed, 0, UINT64_MAX)
         # any fixed seed will do, since every stream is re-keyed before it
         # draws; a seed spares reading OS entropy
         self._bit_generator = np.random.Philox(0)
-        self._state = _PhiloxState.from_address(self._bit_generator.ctypes.state_address)
+        interface = self._bit_generator.ctypes
+        self._state = _PhiloxState.from_address(interface.state_address)
         # writable views of the words themselves, through the ctypes arrays' buffers
         self._counter = np.frombuffer(self._state.ctr.contents, np.uint64)
         self._key = np.frombuffer(self._state.key.contents, np.uint64)
+        self._fill = _standard_normal_fill()
+        # the bitgen_t the C draw takes; self._bit_generator keeps it alive
+        self._bitgen_ptr = interface.bit_generator
         self._check_read_back()
-        self._key[0] = master_seed
+        self._check_draw()
+        # Philox carries into counter word 1 only after 2**64 blocks (2**66
+        # samples of one stream), so with words 1-3 zeroed here a stream need
+        # only zero word 0
+        self._counter.fill(0)
         # standard_normal draws whole 64-bit words, so no half word is ever held
         self._state.has_uint32 = 0
-        self._draw = np.random.Generator(self._bit_generator).standard_normal
+        self._key[0] = master_seed
 
     def _check_read_back(self) -> None:
         self._counter[:] = _PROBE_COUNTER
@@ -135,11 +172,27 @@ class NormalStreams:
                 "written at its ctypes state address, so its streams cannot be re-keyed"
             )
 
+    def _check_draw(self) -> None:
+        # one stream of the probe key, re-keyed as fill re-keys; 9 samples take
+        # at least 9 words, past the first refill of the 4-word buffer
+        drawn = (ctypes.c_double * 9)()
+        self._counter[0] = 0
+        self._state.buffer_pos = 4
+        self._fill(self._bitgen_ptr, len(drawn), drawn)
+        self._counter[0] = 0
+        self._state.buffer_pos = 4
+        want = np.random.Generator(self._bit_generator).standard_normal(len(drawn))
+        if bytes(drawn) != want.tobytes():
+            raise GeneratorLayoutError(
+                f"numpy {np.__version__}'s random_standard_normal_fill does not draw "
+                "the values of Generator.standard_normal, so its streams cannot be drawn"
+            )
+
     def fill(self, stream_ids, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, shape ``stream_ids.shape + (samples,)``, one stream per row; return it.
 
-        ``out`` must be a writable, C-contiguous float64 array, so that no row
-        is drawn into a copy.
+        ``out`` must be a writable, C-contiguous float64 array, so that each
+        row is drawn at its own address and none into a copy.
         """
         stream_ids = np.asarray(stream_ids)
         if stream_ids.size and (stream_ids.dtype.kind not in "iu" or stream_ids.min() < 0):
@@ -156,15 +209,21 @@ class NormalStreams:
                 "out must be a writable C-contiguous float64 array of shape "
                 f"{stream_ids.shape} + (samples,)"
             )
-        counter, key, state, draw = self._counter, self._key, self._state, self._draw
-        rows = out.reshape(stream_ids.size, out.shape[-1])
+        if not out.size:
+            return out
+        counter, key, state, fill, bitgen_ptr = (
+            self._counter, self._key, self._state, self._fill, self._bitgen_ptr
+        )
+        samples = out.shape[-1]
+        row_bytes = 8 * samples
+        base = out.ctypes.data
         # a memoryview yields the ids as Python ints one at a time, with no list of them all
         ids = memoryview(stream_ids.astype(np.uint64, copy=False).ravel())
-        for row, stream_id in zip(rows, ids):
+        for address, stream_id in zip(range(base, base + row_bytes * len(ids), row_bytes), ids):
             key[1] = stream_id
-            counter.fill(0)
+            counter[0] = 0
             state.buffer_pos = 4  # output buffer empty: the first draw runs the zero counter
-            draw(out=row)
+            fill(bitgen_ptr, samples, address)
         return out
 
 

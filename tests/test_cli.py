@@ -543,6 +543,19 @@ def test_failed_child_gives_one_line_error(tmp_path, capsys, monkeypatch, fail, 
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
+def test_solve_and_check_run_without_the_draw_function(tmp_path, capsys, missing_draw_symbol):
+    # only drawing noise needs numpy's exported random_standard_normal_fill
+    path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
+    assert main(["solve", path]) == 0
+    assert main(["check", path, "--solve"]) == 0
+    capsys.readouterr()
+    outdir = tmp_path / "out"
+    assert main(["run", path, str(outdir), "--threads", "1"]) == 1
+    assert not outdir.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(r"error: numpy \S+'s random\._generator exports no .*\n", err)
+
+
 def test_import_leaves_out_multiprocessing():
     # only a run on two or more workers imports multiprocessing
     code = "import sys, kljn.cli; print('multiprocessing' in sys.modules)"

@@ -1,3 +1,4 @@
+import ctypes
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from kljn import (
     ValidationError,
     effective_temperature,
     johnson_variance,
+    noise,
 )
 from kljn.circuit import line_signals, theoretical_moments
 from kljn.errors import GeneratorLayoutError, KljnError
@@ -173,6 +175,32 @@ class TestStandardNormalStreams:
         with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
             NormalStreams(0)
         assert issubclass(GeneratorLayoutError, KljnError)
+
+    def test_draw_guard(self, monkeypatch):
+        # a numpy whose exported function wrote float32s would draw a wrong stream
+        wrong = ctypes.PyDLL(np.random._generator.__file__).random_standard_normal_fill_f
+        wrong.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+        wrong.restype = None
+        monkeypatch.setattr(noise, "_standard_normal_fill", lambda: wrong)
+        with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
+            NormalStreams(0)
+
+    def test_missing_draw_symbol(self, missing_draw_symbol):
+        with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
+            NormalStreams(0)
+
+    def test_construction_leaves_the_counter_zero(self):
+        # the read-back and draw probes write the counter; a stream zeroes only word 0
+        streams = NormalStreams(2**64 - 1)
+        assert streams._bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+
+    def test_a_long_stream_then_each_buffer_position(self):
+        # 4099 samples advance the counter's low word past 1024 blocks; streams of
+        # 1 to 5 samples then start on every position of the 4-word output buffer
+        streams = NormalStreams(42)
+        for stream_id, samples in ((10, 4099), (11, 1), (12, 2), (13, 3), (14, 4), (15, 5)):
+            got = streams.fill([stream_id], np.empty((1, samples)))[0]
+            assert np.array_equal(got, fresh_stream(42, stream_id, samples))
 
     def test_empty(self):
         assert NormalStreams(0).fill([], np.empty((0, 8))).shape == (0, 8)
