@@ -71,10 +71,10 @@ class FileConfig:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tolerance: a finite, non-negative residual bound."""
+    """argparse type of --tolerance: a finite, positive residual bound."""
     try:
         value = float(text)
-        require_real(("tolerance", value), allow_zero=True)
+        require_real(("tolerance", value))
     except ValueError as exc:  # from float(), or the real rule's ValidationError
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value

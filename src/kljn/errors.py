@@ -31,9 +31,10 @@ class DegenerateInputError(ValidationError):
 class GeneratorLayoutError(KljnError):
     """numpy does not have what the noise streams rely on.
 
-    Either its Philox state does not have the memory layout the streams write,
-    or its exported C ``random_standard_normal_fill``, which draws them, is
-    missing or does not draw the values of ``Generator.standard_normal``.
+    Either its exported C ``random_standard_normal_fill``, which draws them, is
+    missing, or probe streams re-keyed in place and drawn through it are not
+    those of fresh generators: its Philox state does not have the memory
+    layout the streams write, or the function draws other values.
     """
 
 

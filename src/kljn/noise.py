@@ -69,23 +69,23 @@ def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
 
 
 class _PhiloxState(ctypes.Structure):
-    """numpy's ``philox_state`` (numpy/random/src/philox/philox.h) at ``ctypes.state_address``."""
+    """The leading fields of numpy's ``philox_state`` (numpy/random/src/philox/philox.h),
+    at ``ctypes.state_address``: the ones a stream's re-keying writes."""
 
     _fields_ = [
         ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
         ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
         ("buffer_pos", ctypes.c_int),
-        ("buffer", ctypes.c_uint64 * 4),
-        ("has_uint32", ctypes.c_int),
-        ("uinteger", ctypes.c_uint32),
     ]
 
 
-# Written through the ctypes views at construction and read back through
-# Philox.state: distinct words, so a shifted or reordered field shows
-_PROBE_COUNTER = (0x0123456789ABCDEF, 0x1122334455667788, 0x99AABBCCDDEEFF00, 0xFEDCBA9876543210)
-_PROBE_KEY = (0x0F1E2D3C4B5A6978, 0x8796A5B4C3D2E1F0)
-_PROBE_BUFFER_POS = 3
+# The streams construction draws through fill and compares with fresh
+# generators. 9 samples take at least 9 words, past the first refill of
+# Philox's 4-word output buffer, so the second stream starts after a stream
+# that advanced the counter and left words in the buffer.
+_PROBE_SEED = 0x0123456789ABCDEF
+_PROBE_IDS = (0xFEDCBA9876543210, 1)
+_PROBE_SAMPLES = 9
 
 
 @functools.cache
@@ -112,6 +112,15 @@ def _standard_normal_fill():
     return fill
 
 
+@functools.cache
+def _probe_streams() -> bytes:
+    """The bytes of the probe streams, each drawn by a fresh generator."""
+    return b"".join(
+        StreamSeed(_PROBE_SEED, stream_id).generator().standard_normal(_PROBE_SAMPLES).tobytes()
+        for stream_id in _PROBE_IDS
+    )
+
+
 class NormalStreams:
     """Unit-variance Gaussian draws of any stream of one master seed, from one Philox.
 
@@ -123,11 +132,11 @@ class NormalStreams:
     which costs a fraction of building a generator or setting its ``state``
     per stream, and each stream is drawn by one call to numpy's C
     ``random_standard_normal_fill``, the call numpy's CFFI example makes.
-    Construction checks that numpy's ``Philox.state`` reads the written words
-    back and that the C call draws the bytes of ``Generator.standard_normal``,
-    and raises GeneratorLayoutError if either does not hold. The C call
-    bypasses numpy's bit-generator lock, so one object serves one thread; the
-    kernel builds one per chunk.
+    Construction draws two probe streams through ``fill`` and raises
+    GeneratorLayoutError unless their bytes are those of fresh generators, so
+    a numpy whose state layout or C draw differs is refused before any stream
+    is drawn. The C call bypasses numpy's bit-generator lock, so one object
+    serves one thread; the kernel builds one per chunk.
     """
 
     __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_fill", "_bitgen_ptr")
@@ -135,7 +144,9 @@ class NormalStreams:
     def __init__(self, master_seed: int) -> None:
         require_int("master_seed", master_seed, 0, UINT64_MAX)
         # any fixed seed will do, since every stream is re-keyed before it
-        # draws; a seed spares reading OS entropy
+        # draws; a seed spares reading OS entropy. The counter starts at zero,
+        # and fill zeroes only word 0: Philox carries into word 1 only after
+        # 2**64 blocks (2**66 samples of one stream)
         self._bit_generator = np.random.Philox(0)
         interface = self._bit_generator.ctypes
         self._state = _PhiloxState.from_address(interface.state_address)
@@ -145,48 +156,15 @@ class NormalStreams:
         self._fill = _standard_normal_fill()
         # the bitgen_t the C draw takes; self._bit_generator keeps it alive
         self._bitgen_ptr = interface.bit_generator
-        self._check_read_back()
-        self._check_draw()
-        # Philox carries into counter word 1 only after 2**64 blocks (2**66
-        # samples of one stream), so with words 1-3 zeroed here a stream need
-        # only zero word 0
-        self._counter.fill(0)
-        # standard_normal draws whole 64-bit words, so no half word is ever held
-        self._state.has_uint32 = 0
+        self._key[0] = _PROBE_SEED
+        probe = np.empty((len(_PROBE_IDS), _PROBE_SAMPLES))
+        if self.fill(np.array(_PROBE_IDS, np.uint64), probe).tobytes() != _probe_streams():
+            raise GeneratorLayoutError(
+                f"numpy {np.__version__}'s Philox, re-keyed in place and drawn by "
+                "random_standard_normal_fill, does not give the streams of fresh "
+                "generators, so its streams cannot be drawn"
+            )
         self._key[0] = master_seed
-
-    def _check_read_back(self) -> None:
-        self._counter[:] = _PROBE_COUNTER
-        self._key[:] = _PROBE_KEY
-        self._state.buffer_pos = _PROBE_BUFFER_POS
-        self._state.has_uint32 = 1
-        state = self._bit_generator.state
-        if (
-            tuple(state["state"]["counter"].tolist()) != _PROBE_COUNTER
-            or tuple(state["state"]["key"].tolist()) != _PROBE_KEY
-            or state["buffer_pos"] != _PROBE_BUFFER_POS
-            or state["has_uint32"] != 1
-        ):
-            raise GeneratorLayoutError(
-                f"numpy {np.__version__}'s Philox state does not read back the words "
-                "written at its ctypes state address, so its streams cannot be re-keyed"
-            )
-
-    def _check_draw(self) -> None:
-        # one stream of the probe key, re-keyed as fill re-keys; 9 samples take
-        # at least 9 words, past the first refill of the 4-word buffer
-        drawn = (ctypes.c_double * 9)()
-        self._counter[0] = 0
-        self._state.buffer_pos = 4
-        self._fill(self._bitgen_ptr, len(drawn), drawn)
-        self._counter[0] = 0
-        self._state.buffer_pos = 4
-        want = np.random.Generator(self._bit_generator).standard_normal(len(drawn))
-        if bytes(drawn) != want.tobytes():
-            raise GeneratorLayoutError(
-                f"numpy {np.__version__}'s random_standard_normal_fill does not draw "
-                "the values of Generator.standard_normal, so its streams cannot be drawn"
-            )
 
     def fill(self, stream_ids, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, shape ``stream_ids.shape + (samples,)``, one stream per row; return it.

@@ -206,7 +206,7 @@ class TestCheckCommand:
         assert main(["check", path, "--tolerance", "1e-3"]) == 0
         assert main(["check", path, "--tolerance", "1e-9"]) == 3
 
-    @pytest.mark.parametrize("bad", ["nan", "-1e-9", "inf", "loose"])
+    @pytest.mark.parametrize("bad", ["nan", "-1e-9", "0", "inf", "loose"])
     def test_bad_tolerance_is_a_usage_error(self, tmp_path, bad):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", write_config(tmp_path), "--solve", "--tolerance", bad])

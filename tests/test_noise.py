@@ -132,7 +132,7 @@ def fresh_stream(master_seed, stream_id, samples):
 class TestStandardNormalStreams:
     """NormalStreams: many unit-variance streams of one master seed from one Philox."""
 
-    @pytest.mark.parametrize("master_seed", [0, 77, 2**64 - 1])
+    @pytest.mark.parametrize("master_seed", [0, 77, 2**64 - 1, noise._PROBE_SEED])
     def test_each_row_is_its_own_stream(self, master_seed):
         ids = [[0, 2**64 - 1, 9], [9, 3, 2**63]]
         out = np.empty((2, 3, 257))
@@ -162,19 +162,37 @@ class TestStandardNormalStreams:
                 got = keyed.fill([stream_id], np.empty((1, 33)))[0]
                 assert np.array_equal(got, fresh_stream(seed, stream_id, 33))
 
-    def test_read_back_guard(self, monkeypatch):
-        class MisreadPhilox(np.random.Philox):
-            # a numpy whose state lies elsewhere would not read the words back
-            @property
-            def state(self):
-                state = super().state
-                state["state"]["key"] = state["state"]["key"][::-1]
-                return state
+    def test_layout_guard(self, monkeypatch):
+        class MisplacedBufferPos(ctypes.Structure):
+            # a numpy whose philox_state held buffer_pos 8 bytes later, inside
+            # the output buffer: every write stays in the struct's own memory
+            _fields_ = [
+                ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("_", ctypes.c_int * 2),
+                ("buffer_pos", ctypes.c_int),
+            ]
 
-        monkeypatch.setattr(np.random, "Philox", MisreadPhilox)
+        assert MisplacedBufferPos.buffer_pos.offset != noise._PhiloxState.buffer_pos.offset
+        assert ctypes.sizeof(MisplacedBufferPos) <= 64  # sizeof(philox_state)
+        monkeypatch.setattr(noise, "_PhiloxState", MisplacedBufferPos)
         with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
             NormalStreams(0)
         assert issubclass(GeneratorLayoutError, KljnError)
+
+    def test_the_guard_draws_through_fill(self):
+        class KeepsTheBuffer(NormalStreams):
+            # re-keys each stream as fill does, but leaves the output buffer
+            # as the last stream left it
+            def fill(self, stream_ids, out):
+                for row, stream_id in zip(out, stream_ids):
+                    self._key[1] = stream_id
+                    self._counter[0] = 0
+                    self._fill(self._bitgen_ptr, row.size, row.ctypes.data)
+                return out
+
+        with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
+            KeepsTheBuffer(0)
 
     def test_draw_guard(self, monkeypatch):
         # a numpy whose exported function wrote float32s would draw a wrong stream
@@ -189,10 +207,12 @@ class TestStandardNormalStreams:
         with pytest.raises(GeneratorLayoutError, match=re.escape(f"numpy {np.__version__}")):
             NormalStreams(0)
 
-    def test_construction_leaves_the_counter_zero(self):
-        # the read-back and draw probes write the counter; a stream zeroes only word 0
+    def test_construction_leaves_counter_words_1_to_3_zero(self):
+        # fill zeroes only word 0 of the counter; the probe streams advanced it
         streams = NormalStreams(2**64 - 1)
-        assert streams._bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert streams._bit_generator.state["state"]["counter"][1:].tolist() == [0, 0, 0]
+        got = streams.fill([8], np.empty((1, 9)))[0]
+        assert np.array_equal(got, fresh_stream(2**64 - 1, 8, 9))
 
     def test_a_long_stream_then_each_buffer_position(self):
         # 4099 samples advance the counter's low word past 1024 blocks; streams of
