@@ -215,12 +215,11 @@ class ExchangeResult:
         return self.cross
 
 
-def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.ndarray:
-    """(var_v, var_i, cross) rows for bits [start, start + len(hl_flags)); one worker's share.
+def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns: np.ndarray):
+    """Write (var_v, var_i, cross) of bits [start, start + len(hl_flags)) into ``columns``.
 
     The generator and the working buffers are made once, for one block, and
-    every block draws, combines and reduces in them, so the chunk's memory
-    does not churn.
+    every block reuses them, so the chunk's memory does not churn.
     """
     n = config.samples_per_bit
     rows = min(max(1, _BLOCK_SAMPLES // n), hl_flags.size)
@@ -228,7 +227,6 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
     draws = np.empty(2 * rows * n)
     prod = np.empty((rows, n))
     mean = np.empty((rows, 1))
-    columns = np.empty((3, hl_flags.size))
     # windows past the float range come out inf or nan, which ExchangeResult rejects;
     # the warnings numpy would print for them are silenced in every worker
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,17 +244,20 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray) -> np.n
             block = columns[:, offset : offset + k]
             _window_moments(v_e, i_e, block, prod[:k], mean[:k])
             block[:, order] = block.copy()  # column j was computed for bit offset + order[j]
-    return columns
 
 
 def _send_share(sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> None:
-    """Child-process target: send _simulate_chunk's rows, or the exception it raised."""
+    """Child-process target: send None and _simulate_chunk's rows, or the exception it raised."""
     with sender:
         try:
-            part = _simulate_chunk(config, start, hl_flags)
+            columns = np.empty((3, hl_flags.size))
+            _simulate_chunk(config, start, hl_flags, columns)
         except Exception as exc:
-            part = exc
-        sender.send(part)
+            sender.send(exc)
+        else:
+            sender.send(None)
+            for row in columns:
+                sender.send_bytes(row)
 
 
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
@@ -265,26 +266,24 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
     ``threads`` asks for worker processes, at most the machine's CPU count;
     0 picks the CPU count. This process is one of them, so N workers start
     N - 1 child processes, and none outlives the call. A child that dies
-    without a result raises KljnError; an exception a child raises is raised
+    without its rows raises KljnError; an exception a child raises is raised
     here with its own type. The result is identical for every thread count and
     scheduling order because each bit's streams are keyed by its index alone.
     """
     require_int("threads", threads, 0)
     hl_mask = assign_states(config)
+    columns = np.empty((3, config.num_bits))
     cpus = os.cpu_count() or 1
-    workers = min(threads, cpus) if threads else cpus
-    if workers == 1 or config.num_bits < 2 * workers:
-        return ExchangeResult(hl_mask, *_simulate_chunk(config, 0, hl_mask))
-
-    # imported here, since only a run on two or more workers needs multiprocessing
-    import multiprocessing
-
+    workers = min(threads or cpus, cpus)
+    workers = workers if config.num_bits >= 2 * workers else 1
     # contiguous shares; this process computes share 0 while one child computes each other
     bounds = [config.num_bits * k // workers for k in range(workers + 1)]
     shares = list(zip(bounds[1:-1], bounds[2:]))
     receivers, children = [], []
     try:
         for start, stop in shares:
+            # imported here, since only a run that starts a child needs multiprocessing
+            import multiprocessing
             receiver, sender = multiprocessing.Pipe(duplex=False)
             receivers.append(receiver)
             # the parent's copy of the sending end is closed once the child holds its own,
@@ -295,19 +294,20 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
                 )
                 child.start()
             children.append(child)
-        parts = [_simulate_chunk(config, 0, hl_mask[: bounds[1]])]
+        _simulate_chunk(config, 0, hl_mask[: bounds[1]], columns[:, : bounds[1]])
         for child, receiver, (start, stop) in zip(children, receivers, shares):
             try:
-                part = receiver.recv()
+                if (error := receiver.recv()) is None:
+                    for row in columns[:, start:stop]:
+                        receiver.recv_bytes_into(row)
             except EOFError:
                 child.join()
                 raise KljnError(
                     f"worker process for bits [{start}, {stop}) exited with code "
                     f"{child.exitcode} before sending its result"
                 ) from None
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
+            if error is not None:
+                raise error  # out here, so that an EOFError from the child keeps its type
     except BaseException:
         for child in children:
             child.terminate()
@@ -317,7 +317,7 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
             receiver.close()
         for child in children:
             child.join()
-    return ExchangeResult(hl_mask, *np.concatenate(parts, axis=1))
+    return ExchangeResult(hl_mask, *columns)
 
 
 @dataclass(frozen=True, slots=True)

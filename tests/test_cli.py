@@ -3,6 +3,7 @@ import errno
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import subprocess
@@ -509,6 +510,20 @@ def _no_memory():
     raise MemoryError("no room for the share")
 
 
+def _die_mid_share():
+    # the child sends its header and its first row, then dies sending the second
+    sent = []
+    real_send_bytes = multiprocessing.connection.Connection.send_bytes
+
+    def send_bytes(self, *args, **kwargs):
+        sent.append(None)
+        if len(sent) == 2:
+            os._exit(9)
+        real_send_bytes(self, *args, **kwargs)
+
+    multiprocessing.connection.Connection.send_bytes = send_bytes
+
+
 @pytest.mark.parametrize(
     "fail, error",
     [
@@ -516,10 +531,14 @@ def _no_memory():
             lambda: os._exit(9),
             "worker process for bits [40, 80) exited with code 9 before sending its result",
         ),
+        (
+            _die_mid_share,
+            "worker process for bits [40, 80) exited with code 9 before sending its result",
+        ),
         # an exception the child sends keeps its type, and with it its error line
         (_no_memory, "out of memory: no room for the share"),
     ],
-    ids=["child-dies", "child-raises"],
+    ids=["child-dies", "child-dies-mid-share", "child-raises"],
 )
 def test_failed_child_gives_one_line_error(tmp_path, capsys, monkeypatch, fail, error):
     # 2 workers; the child is forked, so it runs this test's _simulate_chunk, which
@@ -529,10 +548,10 @@ def test_failed_child_gives_one_line_error(tmp_path, capsys, monkeypatch, fail, 
     parent = os.getpid()
     real_chunk = kljn.simulation._simulate_chunk
 
-    def chunk(config, start, hl_flags):
+    def chunk(config, start, hl_flags, columns):
         if os.getpid() != parent:
             fail()
-        return real_chunk(config, start, hl_flags)
+        real_chunk(config, start, hl_flags, columns)
 
     monkeypatch.setattr(kljn.simulation, "_simulate_chunk", chunk)
     outdir = tmp_path / "out"

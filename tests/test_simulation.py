@@ -2,11 +2,16 @@ import dataclasses
 import functools
 import hashlib
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kljn
 from kljn import (
     ExchangeResult,
     Indicator,
@@ -246,6 +251,58 @@ class TestRunExchange:
             assert np.array_equal(
                 parallel.indicator_values(indicator), serial.indicator_values(indicator)
             )
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_every_start_method_gives_the_serial_bytes(
+        self, monkeypatch, asymmetric_quad, asymmetric_vars, method
+    ):
+        # 5000-bit shares make 40 kB rows; past 16 KiB, send_bytes sends a row
+        # apart from its length header
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context(method).Process)
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        config = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=16,
+            num_bits=10_001,
+            master_seed=7,
+            state_policy=StatePolicy.RANDOM,
+        )
+        parallel = run_exchange(config, threads=2)
+        assert multiprocessing.active_children() == []
+        serial = run_exchange(config, threads=1)
+        for name in ("hl_mask", "var_v", "var_i", "cross"):
+            assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes()
+
+    def test_one_worker_leaves_out_multiprocessing(self):
+        # only a run that starts a child imports multiprocessing
+        code = (
+            "import sys\n"
+            "from kljn import ResistorQuad, SimConfig, run_exchange, solve_variances\n"
+            "quad = ResistorQuad(r_la=1000.0, r_ha=10_000.0, r_lb=5000.0, r_hb=9000.0)\n"
+            "run_exchange(SimConfig(quad, solve_variances(quad, 1.0), 16, 64), threads=1)\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_eof_error_from_the_child_keeps_its_type(self, monkeypatch, small_config):
+        # the child's own EOFError is raised as sent, not taken for the end of its pipe
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        parent = os.getpid()
+        real_chunk = kljn.simulation._simulate_chunk
+
+        def chunk(config, start, hl_flags, columns):
+            if os.getpid() != parent:
+                raise EOFError("from the child")
+            real_chunk(config, start, hl_flags, columns)
+
+        monkeypatch.setattr(kljn.simulation, "_simulate_chunk", chunk)
+        with pytest.raises(EOFError, match="^from the child$"):
+            run_exchange(small_config, threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_random_policy_is_roughly_balanced(self, asymmetric_quad, asymmetric_vars):
         config = SimConfig(
@@ -637,6 +694,19 @@ class TestKernelDigests:
 ALLOCATION_MARGIN = np.getbufsize() * 8 + 32 * 1024
 
 
+def peak_beyond_columns(config, threads):
+    """This process's tracemalloc peak during run_exchange, less the result's columns."""
+    run_exchange(config, threads=threads)  # first-call caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        result = run_exchange(config, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (result.hl_mask, result.var_v, result.var_i, result.cross)
+    return peak - sum(column.nbytes for column in columns)
+
+
 class TestKernelAllocatesOncePerChunk:
     @pytest.mark.parametrize("samples", [1000, 32])
     def test_peak_is_bounded_and_flat(self, asymmetric_quad, asymmetric_vars, samples):
@@ -649,15 +719,23 @@ class TestKernelAllocatesOncePerChunk:
                 num_bits=blocks * (_BLOCK_SAMPLES // samples),
                 master_seed=3,
             )
-            run_exchange(config)  # first-call caches stay out of the measurement
-            tracemalloc.start()
-            try:
-                result = run_exchange(config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            columns = (result.hl_mask, result.var_v, result.var_i, result.cross)
-            peaks.append(peak - sum(column.nbytes for column in columns))
+            peaks.append(peak_beyond_columns(config, threads=1))
         # the draw buffer (two sources) and one scratch array, each one block
         assert max(peaks) < 3 * _BLOCK_SAMPLES * 8 + ALLOCATION_MARGIN
         assert peaks[1] <= peaks[0] + 1024
+
+    def test_two_workers_hold_one_copy(self, monkeypatch, asymmetric_quad, asymmetric_vars):
+        # the child's rows are read straight into the run's columns, so this
+        # process holds at most one more row, the one it is reading
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        config = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=32,
+            num_bits=200_000,
+            master_seed=3,
+        )
+        one_worker = peak_beyond_columns(config, threads=1)
+        two_workers = peak_beyond_columns(config, threads=2)
+        child_row = config.num_bits // 2 * 8
+        assert two_workers < one_worker + child_row + ALLOCATION_MARGIN
