@@ -165,11 +165,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 3
 
 
-def _write_lines(path: Path, header: str, lines) -> None:
-    """Write a CSV file from a header and an iterable of ready-made lines, one at a time."""
+def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
+    """Write a CSV file: the header line, then ``row_format.format(*row)`` per row, streamed."""
     with path.open("w", newline="") as handle:
-        handle.write(header)
-        handle.writelines(lines)
+        handle.write(f"{header}\n")
+        handle.writelines(f"{row_format.format(*row)}\n" for row in rows)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -201,46 +201,38 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_exchange(sim, threads=args.threads)
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
+    # the first bit of each state, LH first
+    traces = [
+        scatter_trace(state, sim, int(np.argmax(mask)))
+        for state in (LineState.LH, LineState.HL)
+        if (mask := result.state_mask(state)).any()
+    ]
 
     outdir.mkdir(parents=True, exist_ok=True)
     # every line is the one csv.writer would give: no field needs quoting, and
     # .17g on a Python float is full double precision with a '.' separator
-    _write_lines(
+    _write_csv(
         outdir / "ber.csv",
-        "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl\n",
+        "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl",
+        "{},{:.17g},{:.17g},{:.17g},{},{}",
         (
-            f"{entry.indicator.value},{100.0 * entry.ber:.17g},{100.0 * entry.leak:.17g},"
-            f"{entry.threshold:.17g},{entry.bits_lh},{entry.bits_hl}\n"
-            for entry in report
+            (e.indicator.value, 100.0 * e.ber, 100.0 * e.leak, e.threshold, e.bits_lh, e.bits_hl)
+            for e in report
         ),
     )
     for indicator, hist in hists.items():
         edges = hist.edges.tolist()
-        _write_lines(
+        _write_csv(
             outdir / f"hist_{indicator.value}.csv",
-            "bin_low,bin_high,count_lh,count_hl\n",
-            (
-                f"{lo:.17g},{hi:.17g},{n_lh},{n_hl}\n"
-                for lo, hi, n_lh, n_hl in zip(
-                    edges[:-1], edges[1:], hist.counts_lh.tolist(), hist.counts_hl.tolist()
-                )
-            ),
+            "bin_low,bin_high,count_lh,count_hl",
+            "{:.17g},{:.17g},{},{}",
+            zip(edges[:-1], edges[1:], hist.counts_lh.tolist(), hist.counts_hl.tolist()),
         )
-
-    # First bit of each state, LH block first; each trace is drawn as its lines are written.
-    first_bits = [
-        (state, int(np.argmax(mask)))
-        for state in (LineState.LH, LineState.HL)
-        if (mask := result.state_mask(state)).any()
-    ]
-    _write_lines(
+    _write_csv(
         outdir / "scatter.csv",
-        "v_e_volts,i_e_amps\n",
-        (
-            f"{v_e:.17g},{i_e:.17g}\n"
-            for state, bit in first_bits
-            for v_e, i_e in zip(*scatter_trace(state, sim, bit).T.tolist())
-        ),
+        "v_e_volts,i_e_amps",
+        "{:.17g},{:.17g}",
+        (pair for trace in traces for pair in trace.tolist()),
     )
 
     # the inverse of load_config: fed back to `run`, it reproduces every artifact

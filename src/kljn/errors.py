@@ -5,7 +5,6 @@ scalar input is checked by: require_int, require_real and require_member.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 
 class KljnError(Exception):
@@ -86,7 +85,8 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
             raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
 
 
-def require_member(name: str, value: object, kind: type[Enum]) -> None:
-    """Membership rule: ``value`` must be a member of the enum ``kind``; else ValidationError."""
+def require_member(name: str, value: object, kind: type) -> None:
+    """Membership rule: ``value`` must be an instance of ``kind``, an enum or a record
+    class; else ValidationError."""
     if not isinstance(value, kind):
         raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")

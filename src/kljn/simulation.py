@@ -43,6 +43,9 @@ from .noise import gaussian_block  # noqa: F401
 # Samples per source array in one kernel block (128 KiB of float64): a chunk's
 # buffers hold three such arrays at any window length.
 _BLOCK_SAMPLES = 16_384
+# Values per message a child sends (64 KiB of float64): the receiving end reads a
+# whole message into a buffer of its own before it copies it into the columns.
+_PIECE = 8192
 
 
 # Generator slots of the connected (alice, bob) sources in each state, as columns
@@ -80,6 +83,8 @@ class SimConfig:
         require_int("samples_per_bit", self.samples_per_bit, 2)
         require_int("num_bits", self.num_bits, 1, MAX_BITS)
         require_int("master_seed", self.master_seed, 0, UINT64_MAX)
+        require_member("quad", self.quad, ResistorQuad)
+        require_member("variances", self.variances, NoiseVariances)
         require_member("state_policy", self.state_policy, StatePolicy)
 
 
@@ -119,15 +124,13 @@ def _wire_signals(
     return draws
 
 
-def _window_moments(
-    v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.ndarray, mean: np.ndarray
-) -> None:
+def _window_moments(v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.ndarray) -> None:
     """Write (var_v, var_i, cross) of every window into the rows of ``out`` (3, windows).
 
     Repeats the ufunc sequence of numpy's own ``np.mean`` and ``np.var(ddof=1)``
     along axis 1 on arrays of the same layout, so the pairwise sums, and with
     them every bit, are theirs. v_e and i_e are centred in place; ``prod``
-    (windows, samples) and ``mean`` (windows, 1) are scratch.
+    (windows, samples) is scratch.
     """
     n = v_e.shape[1]
     var_v, var_i, cross = out
@@ -137,11 +140,12 @@ def _window_moments(
     np.true_divide(cross, n, out=cross)
     # unbiased (n-1) variances
     for window, variance in ((v_e, var_v), (i_e, var_i)):
-        np.add.reduce(window, axis=1, keepdims=True, out=mean)
-        np.true_divide(mean, n, out=mean)
+        # the row means, in the row that becomes the variances
+        np.add.reduce(window, axis=1, out=variance)
+        np.true_divide(variance, n, out=variance)
         # subtract a full-size copy of the row means: numpy's ufuncs would
         # allocate an iterator buffer and run slower for a broadcast operand
-        prod[...] = mean
+        prod[...] = variance[:, np.newaxis]
         np.subtract(window, prod, out=window)
         np.square(window, out=window)
         np.add.reduce(window, axis=1, out=variance)
@@ -226,7 +230,6 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns
     streams = NormalStreams(config.master_seed)
     draws = np.empty(2 * rows * n)
     prod = np.empty((rows, n))
-    mean = np.empty((rows, 1))
     # windows past the float range come out inf or nan, which ExchangeResult rejects;
     # the warnings numpy would print for them are silenced in every worker
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,8 +245,15 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns
                 streams, config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
             )
             block = columns[:, offset : offset + k]
-            _window_moments(v_e, i_e, block, prod[:k], mean[:k])
+            _window_moments(v_e, i_e, block, prod[:k])
             block[:, order] = block.copy()  # column j was computed for bit offset + order[j]
+
+
+def _pieces(columns: np.ndarray):
+    """Each row of ``columns`` in turn, as consecutive slices of at most _PIECE values."""
+    for row in columns:
+        for start in range(0, row.size, _PIECE):
+            yield row[start : start + _PIECE]
 
 
 def _send_share(sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> None:
@@ -256,8 +266,8 @@ def _send_share(sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> 
             sender.send(exc)
         else:
             sender.send(None)
-            for row in columns:
-                sender.send_bytes(row)
+            for piece in _pieces(columns):
+                sender.send_bytes(piece)
 
 
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
@@ -298,8 +308,8 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
         for child, receiver, (start, stop) in zip(children, receivers, shares):
             try:
                 if (error := receiver.recv()) is None:
-                    for row in columns[:, start:stop]:
-                        receiver.recv_bytes_into(row)
+                    for piece in _pieces(columns[:, start:stop]):
+                        receiver.recv_bytes_into(piece)
             except EOFError:
                 child.join()
                 raise KljnError(
@@ -379,20 +389,15 @@ class HistogramData:
 def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> HistogramData:
     """Histogram one indicator separately per true state over shared bins.
 
-    Bin edges span the pooled min..max uniformly, so the two states'
-    distributions are directly comparable bin by bin. Every bit lands in
-    exactly one bin.
+    Bin edges span the pooled min..max uniformly (numpy's histogram_bin_edges),
+    so the two states' distributions are directly comparable bin by bin. Every
+    bit lands in exactly one bin.
     """
     require_int("bin_count", bin_count, 1)
     values, hl_mask = result.indicator_values(indicator), result.hl_mask
     if values.size == 0:
         raise DegenerateInputError("cannot histogram an empty exchange result")
-    low = float(values.min())
-    high = float(values.max())
-    if low == high:
-        # numpy's convention for a degenerate range
-        low, high = low - 0.5, high + 0.5
-    edges = np.linspace(low, high, bin_count + 1)
+    edges = np.histogram_bin_edges(values, bin_count)
     counts_lh, _ = np.histogram(values[~hl_mask], bins=edges)
     counts_hl, _ = np.histogram(values[hl_mask], bins=edges)
     return HistogramData(edges=edges, counts_lh=counts_lh, counts_hl=counts_hl)

@@ -495,6 +495,18 @@ class TestOneLineErrors:
         assert made.value.filename == str(tmp_path / named)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "loop", "nowhere"]
 
+    def test_run_computes_every_artifact_before_it_writes(self, tmp_path, capsys, monkeypatch):
+        # the scatter traces are the last values drawn: a failure there leaves no files
+        def scatter_trace(*args):
+            raise MemoryError("no room for the trace")
+
+        monkeypatch.setattr(kljn.cli, "scatter_trace", scatter_trace)
+        path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
+        outdir = tmp_path / "out"
+        assert main(["run", path, str(outdir), "--threads", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: out of memory: no room for the trace\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_overflowing_variances_warn_nothing(self, tmp_path, threads):
         # every window's variance overflows to inf, which ExchangeResult rejects

@@ -27,7 +27,7 @@ from kljn import (
 )
 from kljn.circuit import theoretical_moments
 from kljn.errors import DegenerateInputError
-from kljn.simulation import _BLOCK_SAMPLES, assign_states
+from kljn.simulation import _BLOCK_SAMPLES, _PIECE, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,10 @@ class TestSimConfig:
                 SimConfig(**good, **{field: True})
         with pytest.raises(ValidationError):
             SimConfig(**good, state_policy="alternate")
+        with pytest.raises(ValidationError):
+            SimConfig(quad=(1000, 10000, 5000, 9000), variances=asymmetric_vars)
+        with pytest.raises(ValidationError):
+            SimConfig(quad=asymmetric_quad, variances=dataclasses.astuple(asymmetric_vars))
 
     def test_defaults(self, asymmetric_quad, asymmetric_vars):
         config = SimConfig(quad=asymmetric_quad, variances=asymmetric_vars)
@@ -467,6 +471,28 @@ class TestHistogram:
         with pytest.raises(DegenerateInputError):
             histogram(ExchangeResult([], [], [], []), Indicator.CURRENT_VARIANCE, 4)
 
+    @pytest.mark.parametrize("bins", [1, 2, 200, 10_000])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(5).standard_normal(1000) ** 2,
+            np.full(10, 3.7),
+            np.random.default_rng(6).random(1000) * 1e-300,
+            np.random.default_rng(7).random(1000) * 1e300,
+        ],
+        ids=["random", "constant", "1e-300-scale", "1e300-scale"],
+    )
+    def test_edges_span_min_to_max(self, values, bins):
+        # the rule numpy's histogram_bin_edges applies: min..max evenly,
+        # widened by 0.5 on each side for a constant column
+        low, high = float(values.min()), float(values.max())
+        if low == high:
+            low, high = low - 0.5, high + 0.5
+        expected = np.linspace(low, high, bins + 1)
+        result = ExchangeResult(np.arange(values.size) % 2 == 1, values, values, values)
+        hist = histogram(result, Indicator.CURRENT_VARIANCE, bins)
+        assert hist.edges.tobytes() == expected.tobytes()
+
     def test_bad_bin_count(self, small_result):
         for bad in (0, True, 1.5):
             with pytest.raises(ValidationError):
@@ -725,8 +751,8 @@ class TestKernelAllocatesOncePerChunk:
         assert peaks[1] <= peaks[0] + 1024
 
     def test_two_workers_hold_one_copy(self, monkeypatch, asymmetric_quad, asymmetric_vars):
-        # the child's rows are read straight into the run's columns, so this
-        # process holds at most one more row, the one it is reading
+        # the child's rows are read straight into the run's columns, one piece at
+        # a time, so this process holds at most one more piece, the one it is reading
         monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
         config = SimConfig(
             quad=asymmetric_quad,
@@ -737,5 +763,4 @@ class TestKernelAllocatesOncePerChunk:
         )
         one_worker = peak_beyond_columns(config, threads=1)
         two_workers = peak_beyond_columns(config, threads=2)
-        child_row = config.num_bits // 2 * 8
-        assert two_workers < one_worker + child_row + ALLOCATION_MARGIN
+        assert two_workers < one_worker + _PIECE * 8 + ALLOCATION_MARGIN
