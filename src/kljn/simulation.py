@@ -40,9 +40,15 @@ from .noise import (
 from .circuit import line_signals  # noqa: F401
 from .noise import gaussian_block  # noqa: F401
 
-# Samples per source array in one kernel block (128 KiB of float64): a chunk's
-# buffers hold three such arrays at any window length.
-_BLOCK_SAMPLES = 16_384
+# A kernel block holds at most _BLOCK_SAMPLES samples per source array (512 KiB
+# of float64), which bounds a chunk's three sample buffers to 1.5 MB at any window
+# length, and at most _BLOCK_BITS bits, which bounds its stream ids, row order and
+# reorder copy when windows are short. Besides its samples, each block costs about
+# 75 numpy and Python calls, 55-70 us on a 2-CPU Xeon with numpy 2.4: about 2 % of
+# a 65-bit block's time at 1000 samples per bit. The columns do not depend on the
+# block shape.
+_BLOCK_SAMPLES = 65_536
+_BLOCK_BITS = 512
 # Values per message a child sends (64 KiB of float64): the receiving end reads a
 # whole message into a buffer of its own before it copies it into the columns.
 _PIECE = 8192
@@ -219,6 +225,11 @@ class ExchangeResult:
         return self.cross
 
 
+def _block_rows(samples_per_bit: int) -> int:
+    """Bits in one full kernel block at windows of ``samples_per_bit`` samples."""
+    return min(_BLOCK_BITS, max(1, _BLOCK_SAMPLES // samples_per_bit))
+
+
 def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns: np.ndarray):
     """Write (var_v, var_i, cross) of bits [start, start + len(hl_flags)) into ``columns``.
 
@@ -226,7 +237,7 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns
     every block reuses them, so the chunk's memory does not churn.
     """
     n = config.samples_per_bit
-    rows = min(max(1, _BLOCK_SAMPLES // n), hl_flags.size)
+    rows = min(_block_rows(n), hl_flags.size)
     streams = NormalStreams(config.master_seed)
     draws = np.empty(2 * rows * n)
     prod = np.empty((rows, n))
@@ -237,7 +248,7 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns
             flags = hl_flags[offset : offset + rows]
             k = flags.size
             # the block's rows hold its LH bits, then its HL bits
-            order = np.concatenate((np.flatnonzero(~flags), np.flatnonzero(flags)))
+            order = np.argsort(flags, kind="stable")
             bits = start + offset + order
             # a short last block views the first 2*k*n draws: a [:, :k] slice of a
             # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy

@@ -27,7 +27,8 @@ from kljn import (
 )
 from kljn.circuit import theoretical_moments
 from kljn.errors import DegenerateInputError
-from kljn.simulation import _BLOCK_SAMPLES, _PIECE, assign_states
+from kljn.noise import MAX_BITS
+from kljn.simulation import _PIECE, _block_rows, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -623,7 +624,7 @@ def kernel_config(quad, variances, policy, samples, seed, bits=None):
         quad=quad,
         variances=variances,
         samples_per_bit=samples,
-        num_bits=bits or _BLOCK_SAMPLES // samples + 3,
+        num_bits=bits or _block_rows(samples) + 3,
         master_seed=seed,
         state_policy=policy,
     )
@@ -650,7 +651,7 @@ class TestKernelMatchesPerBitReference:
         hl_mask, columns, windows = reference_run(config)
         result = run_exchange(config)
         last = config.num_bits - 1
-        for bit in (0, 1, _BLOCK_SAMPLES // samples, last):
+        for bit in (0, 1, _block_rows(samples), last):
             state = LineState.HL if hl_mask[bit] else LineState.LH
             v_e, i_e = windows[bit]
             assert np.array_equal(scatter_trace(state, config, bit), np.column_stack([v_e, i_e]))
@@ -684,6 +685,10 @@ COLUMN_DIGESTS = {
     ),
 }
 
+# the bit counts the digests were recorded at: two full 16384-sample blocks and a
+# short third one; the bytes do not depend on the block shape
+DIGEST_BITS = {1000: 37, 32: 1029}
+
 # sha256 of the last bit's scatter_trace in LH, then in HL
 SCATTER_DIGESTS = {
     1000: "31282ff58aa1b65deedae34996b16f694a04a4ffe4f52ac3beb32311a70c0a92",
@@ -694,12 +699,11 @@ SCATTER_DIGESTS = {
 class TestKernelDigests:
     @pytest.mark.parametrize("policy, samples", list(COLUMN_DIGESTS))
     def test_bytes_are_pinned(self, asymmetric_quad, asymmetric_vars, policy, samples):
-        # two full blocks and a short third one
         config = SimConfig(
             quad=asymmetric_quad,
             variances=asymmetric_vars,
             samples_per_bit=samples,
-            num_bits=2 * (_BLOCK_SAMPLES // samples) + 5,
+            num_bits=DIGEST_BITS[samples],
             master_seed=20151,
             state_policy=StatePolicy(policy),
         )
@@ -712,6 +716,38 @@ class TestKernelDigests:
         last = config.num_bits - 1
         traces = b"".join(scatter_trace(state, config, last).tobytes() for state in LineState)
         assert hashlib.sha256(traces).hexdigest() == SCATTER_DIGESTS[samples]
+
+
+# (samples per source array, bits) of a kernel block: the shape before blocks held
+# at most 512 bits, and a tiny one that splits a run into many short blocks
+BLOCK_SHAPES = ((16_384, MAX_BITS), (2048, 3))
+
+
+class TestBlockShape:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("samples", [1000, 32])
+    @pytest.mark.parametrize("policy", list(StatePolicy))
+    def test_columns_do_not_depend_on_it(
+        self, monkeypatch, asymmetric_quad, asymmetric_vars, policy, samples, threads
+    ):
+        # the children are forked, so they run the patched shape too
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+        monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        config = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=samples,
+            num_bits=2 * _block_rows(samples) + 7,
+            master_seed=11,
+            state_policy=policy,
+        )
+        default = run_exchange(config, threads=threads)
+        for block_samples, block_bits in BLOCK_SHAPES:
+            monkeypatch.setattr("kljn.simulation._BLOCK_SAMPLES", block_samples)
+            monkeypatch.setattr("kljn.simulation._BLOCK_BITS", block_bits)
+            result = run_exchange(config, threads=threads)
+            for name in ("hl_mask", "var_v", "var_i", "cross"):
+                assert getattr(result, name).tobytes() == getattr(default, name).tobytes()
 
 
 # one ufunc iterator buffer (getbufsize() float64 items), which numpy may
@@ -734,7 +770,7 @@ def peak_beyond_columns(config, threads):
 
 
 class TestKernelAllocatesOncePerChunk:
-    @pytest.mark.parametrize("samples", [1000, 32])
+    @pytest.mark.parametrize("samples", [1000, 32, 2])
     def test_peak_is_bounded_and_flat(self, asymmetric_quad, asymmetric_vars, samples):
         peaks = []
         for blocks in (4, 40):
@@ -742,12 +778,12 @@ class TestKernelAllocatesOncePerChunk:
                 quad=asymmetric_quad,
                 variances=asymmetric_vars,
                 samples_per_bit=samples,
-                num_bits=blocks * (_BLOCK_SAMPLES // samples),
+                num_bits=blocks * _block_rows(samples),
                 master_seed=3,
             )
             peaks.append(peak_beyond_columns(config, threads=1))
         # the draw buffer (two sources) and one scratch array, each one block
-        assert max(peaks) < 3 * _BLOCK_SAMPLES * 8 + ALLOCATION_MARGIN
+        assert max(peaks) < 3 * _block_rows(samples) * samples * 8 + ALLOCATION_MARGIN
         assert peaks[1] <= peaks[0] + 1024
 
     def test_two_workers_hold_one_copy(self, monkeypatch, asymmetric_quad, asymmetric_vars):
