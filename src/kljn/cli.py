@@ -9,6 +9,7 @@ configuration, 3 security check FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -221,11 +222,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         ),
     )
     for indicator, hist in hists.items():
-        edges = hist.edges.tolist()
+        # each inner edge is the high of one bin and the low of the next: formatted once
+        edges = [f"{edge:.17g}" for edge in hist.edges.tolist()]
         _write_csv(
             outdir / f"hist_{indicator.value}.csv",
             "bin_low,bin_high,count_lh,count_hl",
-            "{:.17g},{:.17g},{},{}",
+            "{},{},{},{}",
             zip(edges[:-1], edges[1:], hist.counts_lh.tolist(), hist.counts_hl.tolist()),
         )
     _write_csv(
@@ -261,7 +263,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kljn argument parser, built on the first call; main parses with it every time."""
     parser = _Parser(
         prog="kljn",
         description="Generalized KLJN key-exchange simulator: variance solver, "

@@ -150,9 +150,9 @@ class NormalStreams:
         self._bit_generator = np.random.Philox(0)
         interface = self._bit_generator.ctypes
         self._state = _PhiloxState.from_address(interface.state_address)
-        # writable views of the words themselves, through the ctypes arrays' buffers
-        self._counter = np.frombuffer(self._state.ctr.contents, np.uint64)
-        self._key = np.frombuffer(self._state.key.contents, np.uint64)
+        # the ctypes arrays of the words themselves, written in place
+        self._counter = self._state.ctr.contents
+        self._key = self._state.key.contents
         self._fill = _standard_normal_fill()
         # the bitgen_t the C draw takes; self._bit_generator keeps it alive
         self._bitgen_ptr = interface.bit_generator
@@ -195,13 +195,18 @@ class NormalStreams:
         samples = out.shape[-1]
         row_bytes = 8 * samples
         base = out.ctypes.data
+        # ctypes objects pass as they are, where Python ints would be converted
+        # through argtypes on every call; the row's address is set in place
+        count = ctypes.c_ssize_t(samples)
+        row = ctypes.c_void_p()
         # a memoryview yields the ids as Python ints one at a time, with no list of them all
         ids = memoryview(stream_ids.astype(np.uint64, copy=False).ravel())
         for address, stream_id in zip(range(base, base + row_bytes * len(ids), row_bytes), ids):
             key[1] = stream_id
             counter[0] = 0
             state.buffer_pos = 4  # output buffer empty: the first draw runs the zero counter
-            fill(bitgen_ptr, samples, address)
+            row.value = address
+            fill(bitgen_ptr, count, row)
         return out
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kljn
-from kljn.cli import main
+from kljn.cli import build_parser, main
 
 ASYMMETRIC = {"r_la": 1000.0, "r_ha": 10_000.0, "r_lb": 5000.0, "r_hb": 9000.0}
 SYMMETRIC = {"r_la": 1000.0, "r_ha": 9000.0, "r_lb": 1000.0, "r_hb": 9000.0}
@@ -634,3 +634,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # main parses every call with the parser built on the first; no option
+        # of one call may carry over into the next
+        assert build_parser() is build_parser()
+        config = write_config(tmp_path, samples_per_bit=8, num_bits=60)
+        assert main(["solve", config]) == 0
+        assert main(["check", config, "--solve"]) == 0
+        assert main(["run", config, str(tmp_path / "forty"), "--bits", "40", "--threads", "1"]) == 0
+        assert main(["run", config, str(tmp_path / "sixty"), "--threads", "1"]) == 0
+        for outdir, bits in (("forty", 40), ("sixty", 60)):
+            assert json.loads((tmp_path / outdir / "metadata.json").read_text())["num_bits"] == bits
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", config])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: kljn run ")

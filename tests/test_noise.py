@@ -162,6 +162,22 @@ class TestStandardNormalStreams:
                 got = keyed.fill([stream_id], np.empty((1, 33)))[0]
                 assert np.array_equal(got, fresh_stream(seed, stream_id, 33))
 
+    def test_each_call_draws_its_own_count_at_its_own_address(self):
+        # one object, calls of changing row length and a buffer that starts one
+        # row into a larger one: a count or address kept from an earlier call
+        # would draw a wrong length or write elsewhere
+        streams = NormalStreams(9)
+        larger = np.zeros((3, 5))
+        for stream_ids, out in (
+            ([1, 2], np.empty((2, 33))),
+            ([3, 4], larger[1:]),
+            ([5], np.empty((1, 1000))),
+        ):
+            rows = streams.fill(stream_ids, out)
+            for row, stream_id in zip(rows, stream_ids):
+                assert np.array_equal(row, fresh_stream(9, stream_id, row.size))
+        assert not larger[0].any()
+
     def test_layout_guard(self, monkeypatch):
         class MisplacedBufferPos(ctypes.Structure):
             # a numpy whose philox_state held buffer_pos 8 bytes later, inside

@@ -28,7 +28,7 @@ from kljn import (
 from kljn.circuit import theoretical_moments
 from kljn.errors import DegenerateInputError
 from kljn.noise import MAX_BITS
-from kljn.simulation import _PIECE, _block_rows, assign_states
+from kljn.simulation import _block_rows, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -788,15 +788,22 @@ class TestKernelAllocatesOncePerChunk:
 
     def test_two_workers_hold_one_copy(self, monkeypatch, asymmetric_quad, asymmetric_vars):
         # the child's rows are read straight into the run's columns, one piece at
-        # a time, so this process holds at most one more piece, the one it is reading
+        # a time, so this process holds at most one more piece, the one it is reading.
+        # A received row shows in the peak only if it outgrows the kernel's block
+        # buffers, freed before it arrives: at 2 samples per bit those are about
+        # 60 kB, under one 160 kB row of the child's 20000 bits, and small pieces
+        # keep the bound below that row. The child is forked, so it sends the
+        # patched pieces too
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
         monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("kljn.simulation._PIECE", 512)
         config = SimConfig(
             quad=asymmetric_quad,
             variances=asymmetric_vars,
-            samples_per_bit=32,
-            num_bits=200_000,
+            samples_per_bit=2,
+            num_bits=40_000,
             master_seed=3,
         )
         one_worker = peak_beyond_columns(config, threads=1)
         two_workers = peak_beyond_columns(config, threads=2)
-        assert two_workers < one_worker + _PIECE * 8 + ALLOCATION_MARGIN
+        assert two_workers < one_worker + kljn.simulation._PIECE * 8 + ALLOCATION_MARGIN
