@@ -315,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     except (KljnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        # e.g. a resistance whose square exceeds the float range
+    except ArithmeticError as exc:
+        # e.g. a resistance whose square overflows or underflows the float range
         print(f"error: result out of floating-point range: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -38,7 +38,11 @@ class GeneratorLayoutError(KljnError):
 
 
 class SingularDenominatorError(KljnError):
-    """A variance-solver denominator vanished; the resistor set is degenerate."""
+    """Alice's two resistances differ by less than SINGULAR_RTOL of the larger.
+
+    The v_hb and v_lb denominators carry their difference as a factor, so the
+    solver treats the pair as equal and the resistor set as degenerate.
+    """
 
 
 class InfeasibleConfigError(KljnError):

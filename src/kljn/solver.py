@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .circuit import NoiseVariances, ResistorQuad, theoretical_moments, wire_moments  # noqa: F401
 from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationError, require_real
 
-# Denominator magnitudes below SINGULAR_RTOL times the sum of their term
-# magnitudes are pure cancellation noise, not meaningful values.
+# Alice's two resistances closer than SINGULAR_RTOL of the larger are treated as
+# equal: the v_hb and v_lb denominators carry their difference as a factor.
 SINGULAR_RTOL = 1e-15
 
 
@@ -42,50 +42,33 @@ class SecurityResiduals:
         return self.worst < tolerance
 
 
-def _singular(name: str, denominator: float, scale: float) -> SingularDenominatorError:
-    return SingularDenominatorError(
-        f"denominator for {name} is {denominator:.3e} against term scale {scale:.3e}; "
-        "the resistor set is too close to degenerate"
-    )
-
-
 def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     """Compute the unique variance set securing ``quad``, anchored at ``v_la_sq``.
 
     The anchor is the variance of Alice's low-state generator; the other three
     are linear in it, so any other anchor can be had by rescaling afterward.
 
-    Raises SingularDenominatorError for near-degenerate resistor sets and
-    InfeasibleConfigError when a computed variance is not strictly positive.
+    Raises SingularDenominatorError when Alice's resistances differ by less than
+    SINGULAR_RTOL of the larger, and InfeasibleConfigError when a variance is not
+    strictly positive: when Alice's and Bob's pairs are ordered differently.
     """
     require_real(("v_la_sq", v_la_sq))
+    # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
+    # after an exact power-of-two scaling that puts the largest in [0.5, 1): no product
+    # overflows, and none underflows unless the four span more than about 1e150.
     r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
-    ha_hb = r_ha * r_hb
-
-    # Each ratio sums three numerator, then three denominator terms left to right; the
-    # v_ha terms are all positive, so only the v_hb and v_lb denominators can cancel.
-    numerator = r_lb * (r_ha + r_hb) - ha_hb - r_hb**2
-    la_sq = r_la**2
-    mixed = r_lb * (r_la - r_ha)
-    ha_la = r_ha * r_la
-    denominator = la_sq + mixed - ha_la
-    scale = la_sq + abs(mixed) + ha_la
-    if abs(denominator) < SINGULAR_RTOL * scale:
-        raise _singular("v_hb_sq", denominator, scale)
-    v_hb_sq = v_la_sq * (numerator / denominator)
-
-    v_ha_sq = v_la_sq * (
-        (r_ha**2 + r_lb * (r_hb + r_ha) + ha_hb) / (la_sq + r_lb * (r_la + r_hb) + r_hb * r_la)
-    )
-
-    numerator = r_lb**2 + r_lb * (r_ha - r_hb) - ha_hb
-    mixed = r_la * (r_hb - r_ha)
-    denominator = la_sq + mixed - ha_hb
-    scale = la_sq + abs(mixed) + ha_hb
-    if abs(denominator) < SINGULAR_RTOL * scale:
-        raise _singular("v_lb_sq", denominator, scale)
-    v_lb_sq = v_la_sq * (numerator / denominator)
-
+    scale = math.ldexp(1.0, -math.frexp(max(r_la, r_ha, r_lb, r_hb))[1])
+    r_la, r_ha, r_lb, r_hb = scale * r_la, scale * r_ha, scale * r_lb, scale * r_hb
+    # each gap is one subtraction, exact when the pair is close (Sterbenz lemma)
+    alice, bob = r_la - r_ha, r_lb - r_hb
+    if abs(alice) < SINGULAR_RTOL * (r_la if r_la > r_ha else r_ha):
+        raise SingularDenominatorError(
+            f"Alice's resistances {float(quad.r_la)!r} and {float(quad.r_ha)!r} ohm differ by less "
+            f"than {SINGULAR_RTOL:g} of the larger; the resistor set is too close to degenerate"
+        )
+    v_hb_sq = v_la_sq * ((bob * (r_ha + r_hb)) / (alice * (r_la + r_lb)))
+    v_ha_sq = v_la_sq * (((r_ha + r_lb) * (r_ha + r_hb)) / ((r_la + r_lb) * (r_la + r_hb)))
+    v_lb_sq = v_la_sq * ((bob * (r_lb + r_ha)) / (alice * (r_la + r_hb)))
     for name, value in (("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq)):
         if not value > 0:
             raise InfeasibleConfigError(name, value)

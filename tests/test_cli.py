@@ -397,16 +397,26 @@ class TestArtifactDigests:
 
 
 class TestOverflowingResistances:
-    # squaring a resistance near 1e200 ohm overflows the float range
+    # check squares the loop resistance, which overflows the float range at 1e200
+    # ohm and underflows to 0 at 1e-200 ohm; solve holds at any common scale
+    UNIT = {"r_la": 1.0, "r_ha": 2.0, "r_lb": 3.0, "r_hb": 4.0}
     HUGE = {"r_la": 1e200, "r_ha": 2e200, "r_lb": 3e200, "r_hb": 4e200}
+    TINY = {"r_la": 1e-200, "r_ha": 2e-200, "r_lb": 3e-200, "r_hb": 4e-200}
     VARIANCES = {"v_la_sq": 1.0, "v_ha_sq": 2.0, "v_lb_sq": 3.0, "v_hb_sq": 4.0}
 
-    @pytest.mark.parametrize(
-        "command", [["solve"], ["check", "--solve"], ["check"]], ids=" ".join
-    )
+    @pytest.mark.parametrize("command", [["check", "--solve"], ["check"]], ids=" ".join)
     def test_one_line_error_and_exit_1(self, tmp_path, command):
-        path = write_config(tmp_path, resistors_ohm=self.HUGE, variances_v2=self.VARIANCES)
-        assert_one_line_error(run_module(command[0], path, *command[1:]))
+        for resistors in (self.HUGE, self.TINY):
+            path = write_config(tmp_path, resistors_ohm=resistors, variances_v2=self.VARIANCES)
+            assert_one_line_error(run_module(command[0], path, *command[1:]))
+
+    def test_solve_prints_the_lines_of_the_unit_quad(self, tmp_path, capsys):
+        outputs = []
+        for resistors in (self.UNIT, self.HUGE, self.TINY):
+            assert main(["solve", write_config(tmp_path, resistors_ohm=resistors)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == "" and len(outputs[0].out.splitlines()) == 4
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestOneLineErrors:

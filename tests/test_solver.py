@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kljn import (
@@ -141,53 +142,34 @@ class TestSolveVariances:
             assert got.v_lb_sq == pytest.approx(v_lb, rel=1e-9)
 
 
-def reference_solve(quad, v_la_sq):
-    """The closed forms as term tuples summed left to right, checked ratio by ratio.
+def exact_solve(quad, v_la_sq):
+    """The closed forms as expanded sums of products, in exact rational arithmetic.
 
-    A plain transcription of the solver's equations and error reporting,
-    kept as the reference its straight-line form must match bit for bit.
+    Returns (v_ha, v_lb, v_hb) as Fractions: the values the solver's factored
+    forms must round to. Raises ZeroDivisionError when Alice's pair is equal.
     """
-
-    def ratio(name, numerator_terms, denominator_terms):
-        denominator = sum(denominator_terms)
-        scale = sum(abs(t) for t in denominator_terms)
-        if abs(denominator) < SINGULAR_RTOL * scale:
-            raise SingularDenominatorError(
-                f"denominator for {name} is {denominator:.3e} against term scale "
-                f"{scale:.3e}; the resistor set is too close to degenerate"
-            )
-        return sum(numerator_terms) / denominator
-
-    r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
-    v_hb = v_la_sq * ratio(
-        "v_hb_sq",
-        (r_lb * (r_ha + r_hb), -r_ha * r_hb, -(r_hb**2)),
-        (r_la**2, r_lb * (r_la - r_ha), -r_ha * r_la),
+    r_la, r_ha, r_lb, r_hb = (Fraction(r) for r in (quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb))
+    v_la = Fraction(v_la_sq)
+    v_ha = v_la * (r_ha**2 + r_lb * (r_hb + r_ha) + r_ha * r_hb) / (
+        r_la**2 + r_lb * (r_la + r_hb) + r_hb * r_la
     )
-    v_ha = v_la_sq * ratio(
-        "v_ha_sq",
-        (r_ha**2, r_lb * (r_hb + r_ha), r_ha * r_hb),
-        (r_la**2, r_lb * (r_la + r_hb), r_hb * r_la),
+    v_lb = v_la * (r_lb**2 + r_lb * (r_ha - r_hb) - r_ha * r_hb) / (
+        r_la**2 + r_la * (r_hb - r_ha) - r_ha * r_hb
     )
-    v_lb = v_la_sq * ratio(
-        "v_lb_sq",
-        (r_lb**2, r_lb * (r_ha - r_hb), -r_ha * r_hb),
-        (r_la**2, r_la * (r_hb - r_ha), -r_ha * r_hb),
+    v_hb = v_la * (r_lb * (r_ha + r_hb) - r_ha * r_hb - r_hb**2) / (
+        r_la**2 + r_lb * (r_la - r_ha) - r_ha * r_la
     )
-    for name, value in (("v_hb_sq", v_hb), ("v_ha_sq", v_ha), ("v_lb_sq", v_lb)):
-        if not value > 0:
-            raise InfeasibleConfigError(name, value)
-    return v_la_sq, v_ha, v_lb, v_hb
+    return v_ha, v_lb, v_hb
 
 
-def outcome(solve, quad, v_la_sq):
+def outcome(quad, v_la_sq):
     """Solved variances, or the raised error's type, fields and message."""
     try:
-        v = solve(quad, v_la_sq)
-    except (InfeasibleConfigError, SingularDenominatorError, OverflowError) as exc:
+        v = solve_variances(quad, v_la_sq)
+    except (InfeasibleConfigError, SingularDenominatorError) as exc:
         fields = (exc.variance_name, exc.value) if isinstance(exc, InfeasibleConfigError) else ()
         return type(exc), fields, str(exc)
-    return v if isinstance(v, tuple) else (v.v_la_sq, v.v_ha_sq, v.v_lb_sq, v.v_hb_sq)
+    return v.v_la_sq, v.v_ha_sq, v.v_lb_sq, v.v_hb_sq
 
 
 class TestSolverMatchesReference:
@@ -200,26 +182,38 @@ class TestSolverMatchesReference:
             for _ in range(int(rng.integers(1, 5))):
                 r_ha = math.nextafter(r_ha, math.inf)
             quads.append(ResistorQuad(r_la, r_ha, r_lb, r_hb))
-        # squares overflow a double
+        # the squares of these leave the double range; the ratios do not
         quads.append(ResistorQuad(1e200, 2e200, 3e200, 4e200))
+        quads.append(ResistorQuad(1e-200, 2e-200, 3e-200, 4e-200))
         return quads
 
     def test_values_and_errors_match_the_reference(self):
         kinds = set()
         for quad in self.pinned_quads():
+            alice = Fraction(quad.r_la) - Fraction(quad.r_ha)
+            bob = Fraction(quad.r_lb) - Fraction(quad.r_hb)
             for v_la_sq in (1.0, 1e-20):
-                got = outcome(solve_variances, quad, v_la_sq)
-                want = outcome(reference_solve, quad, v_la_sq)
-                assert got == want, (quad, v_la_sq)
-                kinds.add(got[0] if isinstance(got[0], type) else "solved")
-        assert kinds == {"solved", InfeasibleConfigError, SingularDenominatorError, OverflowError}
+                got = outcome(quad, v_la_sq)
+                kind = got[0] if isinstance(got[0], type) else "solved"
+                kinds.add(kind)
+                if abs(alice) < Fraction(SINGULAR_RTOL) * Fraction(max(quad.r_la, quad.r_ha)):
+                    assert kind is SingularDenominatorError, (quad, got)
+                    assert repr(float(quad.r_la)) in got[2] and repr(float(quad.r_ha)) in got[2]
+                elif alice * bob < 0:
+                    assert kind is InfeasibleConfigError, (quad, got)
+                    assert got[1][0] == "v_hb_sq" and got[1][1] < 0, (quad, got)
+                else:
+                    assert got[0] == v_la_sq, (quad, got)
+                    # at most eight rounded operations stand between each value and the exact one
+                    for value, exact in zip(got[1:], exact_solve(quad, v_la_sq)):
+                        assert abs(Fraction(value) - exact) <= 8 * math.ulp(exact), (quad, got)
+        assert kinds == {"solved", InfeasibleConfigError, SingularDenominatorError}
 
     def test_numpy_inputs_give_plain_floats_of_the_same_value(self):
-        # the last quad is left out: numpy squares overflow to inf instead of raising
-        for quad in self.pinned_quads()[:-1]:
+        for quad in self.pinned_quads():
             as_numpy = ResistorQuad(*np.array([quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb]))
-            got = outcome(solve_variances, as_numpy, 1.0)
-            assert got == outcome(reference_solve, as_numpy, 1.0)
+            got = outcome(as_numpy, 1.0)
+            assert got == outcome(quad, 1.0)
             if not isinstance(got[0], type):
                 assert all(type(v) is float for v in got), got
 
@@ -328,19 +322,19 @@ class TestCheckSecurityProperties:
 
     @PROPERTY_SETTINGS
     @given(
-        r=st.tuples(resistances, resistances, resistances, resistances),
+        r=st.tuples(resistances, resistances, resistances),
+        gap=log_uniform(-14.0, 0.0).filter(lambda gap: gap < 1.0),
         v_la_sq=st.sampled_from([1.0, 1e-20]),
         symmetric=st.booleans(),
     )
-    def test_solved_sets_pass(self, r, v_la_sq, symmetric):
-        r_la, r_ha, r_lb, r_hb = (r[0], r[1], r[0], r[1]) if symmetric else r
-        # the closed forms lose the digits Alice's pair shares (their
-        # denominators carry a factor r_la - r_ha), so keep it 0.01 % apart
-        assume(abs(r_la - r_ha) > 1e-4 * max(r_la, r_ha) and r_lb != r_hb)
+    def test_solved_sets_pass(self, r, gap, v_la_sq, symmetric):
+        r_la, r_lb, r_hb = r
+        assume(r_lb != r_hb)
+        # Alice's pair is `gap` apart relative to the larger, ordered like Bob's pair
+        # so that a secure set exists
+        r_ha = r_la * (1.0 - gap) if r_lb > r_hb else r_la / (1.0 - gap)
+        if symmetric:
+            r_lb, r_hb = r_la, r_ha
         quad = ResistorQuad(r_la, r_ha, r_lb, r_hb)
-        try:
-            variances = solve_variances(quad, v_la_sq)
-        except (InfeasibleConfigError, SingularDenominatorError):
-            reject()
-        residuals = check_security(quad, variances)
+        residuals = check_security(quad, solve_variances(quad, v_la_sq))
         assert residuals.within(1e-10), (quad, residuals)
