@@ -12,9 +12,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,10 @@ from .simulation import (
     ber_report,
     histogram,
     run_exchange,
-    scatter_trace,
+    scatter_traces,
 )
+# benchmarks/spans.py traces kljn.cli.scatter_trace, so the name stays bound here.
+from .simulation import scatter_trace  # noqa: F401
 from .solver import check_security, solve_variances
 
 DEFAULT_HISTOGRAM_BINS = 200
@@ -166,11 +170,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 3
 
 
+def _rewrite(path: Path, lines) -> None:
+    """Write ``lines`` to ``path`` in place, streamed, and end the file where they end.
+
+    The file is opened without O_TRUNC: on ext4 (auto_da_alloc), truncating a
+    file that holds data forces its writeback on close, and the next run's
+    truncate of that file then waits for the disk. Symlinks, hard links and the
+    mode of an existing file fare as with a truncating open, and a write that
+    fails part-way leaves only the lines written before it.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as handle:
+        try:
+            handle.writelines(lines)
+        finally:
+            handle.truncate()
+
+
 def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
     """Write a CSV file: the header line, then ``row_format.format(*row)`` per row, streamed."""
-    with path.open("w", newline="") as handle:
-        handle.write(f"{header}\n")
-        handle.writelines(f"{row_format.format(*row)}\n" for row in rows)
+    _rewrite(path, chain((f"{header}\n",), (f"{row_format.format(*row)}\n" for row in rows)))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -202,12 +220,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_exchange(sim, threads=args.threads)
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
-    # the first bit of each state, LH first
-    traces = [
-        scatter_trace(state, sim, int(np.argmax(mask)))
-        for state in (LineState.LH, LineState.HL)
-        if (mask := result.state_mask(state)).any()
-    ]
+    # the first bit of each state, LH first, drawn together
+    traces = scatter_traces(
+        sim,
+        [
+            (state, int(np.argmax(mask)))
+            for state in (LineState.LH, LineState.HL)
+            if (mask := result.state_mask(state)).any()
+        ],
+    )
 
     outdir.mkdir(parents=True, exist_ok=True)
     # every line is the one csv.writer would give: no field needs quoting, and
@@ -234,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         outdir / "scatter.csv",
         "v_e_volts,i_e_amps",
         "{:.17g},{:.17g}",
-        (pair for trace in traces for pair in trace.tolist()),
+        traces.reshape(-1, 2).tolist(),
     )
 
     # the inverse of load_config: fed back to `run`, it reproduces every artifact
@@ -249,9 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     if config.v_la_sq is not None:
         metadata["v_la_variance_v2"] = config.v_la_sq
-    with (outdir / "metadata.json").open("w") as handle:
-        json.dump(metadata, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _rewrite(outdir / "metadata.json", (json.dumps(metadata, indent=2, sort_keys=True), "\n"))
     print(f"artifacts written to {outdir}")
     return 0
 

@@ -158,23 +158,38 @@ def _window_moments(v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.
         np.true_divide(variance, n - 1, out=variance)
 
 
-def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
-    """Raw (v_e, i_e) pairs of one bit window, shape (samples_per_bit, 2).
+def scatter_traces(config: SimConfig, windows) -> np.ndarray:
+    """Raw (v_e, i_e) pairs of each (state, bit_index), shape (windows, samples_per_bit, 2).
 
-    Exactly the samples run_exchange reduces to that bit's statistics.
+    Exactly the samples run_exchange reduces to those bits' statistics. Every
+    window is drawn from one NormalStreams by one _wire_signals call.
     """
-    require_member("state", state, LineState)
-    require_int("bit_index", bit_index, 0, config.num_bits - 1)
-    n = config.samples_per_bit
+    windows = list(windows)
+    for state, bit_index in windows:
+        require_member("state", state, LineState)
+        require_int("bit_index", bit_index, 0, config.num_bits - 1)
+    hl_flags = np.array([state is LineState.HL for state, _ in windows], dtype=bool)
+    bits = np.array([bit_index for _, bit_index in windows], dtype=np.int64)
+    # _wire_signals takes the LH windows first
+    order = np.argsort(hl_flags, kind="stable")
+    k, n = len(windows), config.samples_per_bit
     v_e, i_e = _wire_signals(
         NormalStreams(config.master_seed),
         config,
-        np.array([bit_index]),
-        np.array([state is LineState.HL]),
-        np.empty((2, 1, n)),
-        np.empty((1, n)),
+        bits[order],
+        hl_flags[order],
+        np.empty((2, k, n)),
+        np.empty((k, n)),
     )
-    return np.column_stack([v_e[0], i_e[0]])
+    return np.stack([v_e, i_e], axis=-1)[np.argsort(order)]
+
+
+def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
+    """Raw (v_e, i_e) pairs of one bit window, shape (samples_per_bit, 2).
+
+    The one-window case of scatter_traces.
+    """
+    return scatter_traces(config, [(state, bit_index)])[0]
 
 
 def assign_states(config: SimConfig) -> np.ndarray:

@@ -49,16 +49,19 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     are linear in it, so any other anchor can be had by rescaling afterward.
 
     Raises SingularDenominatorError when Alice's resistances differ by less than
-    SINGULAR_RTOL of the larger, and InfeasibleConfigError when a variance is not
-    strictly positive: when Alice's and Bob's pairs are ordered differently.
+    SINGULAR_RTOL of the larger; InfeasibleConfigError when a variance is not
+    strictly positive: when Alice's and Bob's pairs are ordered differently; and
+    ValidationError when a feasible variance lies outside the range of a double,
+    as resistances spanning more than about 1e150 can make it.
     """
     require_real(("v_la_sq", v_la_sq))
     # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
     # after an exact power-of-two scaling that puts the largest in [0.5, 1): no product
-    # overflows, and none underflows unless the four span more than about 1e150.
-    r_la, r_ha, r_lb, r_hb = quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb
-    scale = math.ldexp(1.0, -math.frexp(max(r_la, r_ha, r_lb, r_hb))[1])
-    r_la, r_ha, r_lb, r_hb = scale * r_la, scale * r_ha, scale * r_lb, scale * r_hb
+    # overflows. math.ldexp returns plain floats, so numpy inputs never warn.
+    v_la_sq = float(v_la_sq)
+    exponent = -math.frexp(max(quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb))[1]
+    r_la, r_ha = math.ldexp(quad.r_la, exponent), math.ldexp(quad.r_ha, exponent)
+    r_lb, r_hb = math.ldexp(quad.r_lb, exponent), math.ldexp(quad.r_hb, exponent)
     # each gap is one subtraction, exact when the pair is close (Sterbenz lemma)
     alice, bob = r_la - r_ha, r_lb - r_hb
     if abs(alice) < SINGULAR_RTOL * (r_la if r_la > r_ha else r_ha):
@@ -66,13 +69,25 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
             f"Alice's resistances {float(quad.r_la)!r} and {float(quad.r_ha)!r} ohm differ by less "
             f"than {SINGULAR_RTOL:g} of the larger; the resistor set is too close to degenerate"
         )
-    v_hb_sq = v_la_sq * ((bob * (r_ha + r_hb)) / (alice * (r_la + r_lb)))
-    v_ha_sq = v_la_sq * (((r_ha + r_lb) * (r_ha + r_hb)) / ((r_la + r_lb) * (r_la + r_hb)))
-    v_lb_sq = v_la_sq * ((bob * (r_lb + r_ha)) / (alice * (r_la + r_hb)))
+    try:
+        v_hb_sq = v_la_sq * ((bob * (r_ha + r_hb)) / (alice * (r_la + r_lb)))
+        v_ha_sq = v_la_sq * (((r_ha + r_lb) * (r_ha + r_hb)) / ((r_la + r_lb) * (r_la + r_hb)))
+        v_lb_sq = v_la_sq * ((bob * (r_lb + r_ha)) / (alice * (r_la + r_hb)))
+    except ZeroDivisionError:  # a denominator underflowed: a ratio beyond the double range
+        v_hb_sq = v_ha_sq = v_lb_sq = math.inf
+    # Both pairs differ, so each exact variance is non-zero and finite, and its sign,
+    # which alone decides feasibility, is exact even where the value under- or
+    # overflowed: -0 and -inf are infeasible, +0 and +inf out of the double range.
     for name, value in (("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq)):
-        if not value > 0:
-            raise InfeasibleConfigError(name, value)
-    return NoiseVariances(float(v_la_sq), float(v_ha_sq), float(v_lb_sq), float(v_hb_sq))
+        if not 0.0 < value < math.inf:
+            if math.copysign(1.0, value) < 0:
+                raise InfeasibleConfigError(name, value)
+            raise ValidationError(
+                f"the variances securing the resistances {float(quad.r_la)!r}, "
+                f"{float(quad.r_ha)!r}, {float(quad.r_lb)!r} and {float(quad.r_hb)!r} ohm "
+                f"at v_la_sq = {v_la_sq!r} V**2 lie outside the range of a double"
+            )
+    return NoiseVariances(v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq)
 
 
 def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityResiduals:

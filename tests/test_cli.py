@@ -396,6 +396,55 @@ class TestArtifactDigests:
         assert got == ARTIFACT_DIGESTS[policy, samples]
 
 
+class TestRewriteInPlace:
+    # kljn run opens each artifact without O_TRUNC and cuts it where the new lines end
+    NAMES = (*ARTIFACT_NAMES, "metadata.json")
+
+    def run(self, tmp_path, outdir, samples):
+        config = write_config(tmp_path, samples_per_bit=samples, num_bits=40, histogram_bins=8)
+        assert main(["run", config, str(outdir), "--threads", "1"]) == 0
+
+    def test_a_shorter_run_over_a_longer_one_gives_the_fresh_bytes(self, tmp_path):
+        self.run(tmp_path, tmp_path / "out", 64)
+        self.run(tmp_path, tmp_path / "out", 16)
+        self.run(tmp_path, tmp_path / "fresh", 16)
+        for name in self.NAMES:
+            want = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == want
+
+    def test_a_failed_write_leaves_the_lines_written_before_it(self, tmp_path):
+        path = tmp_path / "artifact.csv"
+        path.write_text("an older and much longer file\n" * 100)
+
+        def lines():
+            yield "header\n"
+            yield "1,2\n"
+            raise MemoryError("no room for the third line")
+
+        with pytest.raises(MemoryError):
+            kljn.cli._rewrite(path, lines())
+        assert path.read_bytes() == b"header\n1,2\n"
+
+    def test_links_and_modes_fare_as_with_a_truncating_open(self, tmp_path):
+        self.run(tmp_path, tmp_path / "fresh", 16)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        elsewhere = tmp_path / "elsewhere.csv"
+        elsewhere.write_text("old\n" * 10_000)
+        (outdir / "scatter.csv").symlink_to(elsewhere)
+        (outdir / "ber.csv").write_text("old\n" * 100)
+        os.link(outdir / "ber.csv", tmp_path / "ber_link.csv")
+        (outdir / "metadata.json").write_text("{}\n")
+        (outdir / "metadata.json").chmod(0o600)
+        self.run(tmp_path, outdir, 16)
+        # the link is written through and stays a link
+        assert (outdir / "scatter.csv").is_symlink()
+        fresh = tmp_path / "fresh"
+        assert elsewhere.read_bytes() == (fresh / "scatter.csv").read_bytes()
+        assert (tmp_path / "ber_link.csv").read_bytes() == (fresh / "ber.csv").read_bytes()
+        assert (outdir / "metadata.json").stat().st_mode & 0o777 == 0o600
+
+
 class TestOverflowingResistances:
     # check squares the loop resistance, which overflows the float range at 1e200
     # ohm and underflows to 0 at 1e-200 ohm; solve holds at any common scale
@@ -409,6 +458,20 @@ class TestOverflowingResistances:
         for resistors in (self.HUGE, self.TINY):
             path = write_config(tmp_path, resistors_ohm=resistors, variances_v2=self.VARIANCES)
             assert_one_line_error(run_module(command[0], path, *command[1:]))
+
+    @pytest.mark.parametrize(
+        "resistors",
+        [
+            {"r_la": 1e200, "r_ha": 1.0, "r_lb": 2.0, "r_hb": 1.0},
+            {"r_la": 1.0, "r_ha": 1e200, "r_lb": 1.0, "r_hb": 2.0},
+        ],
+        ids=["underflowing", "overflowing"],
+    )
+    def test_variances_outside_the_double_range_exit_1(self, tmp_path, resistors):
+        # feasible quads spanning 1e200: their variances leave the double range
+        done = run_module("solve", write_config(tmp_path, resistors_ohm=resistors))
+        assert_one_line_error(done)
+        assert "outside the range of a double" in done.stderr
 
     def test_solve_prints_the_lines_of_the_unit_quad(self, tmp_path, capsys):
         outputs = []
@@ -506,12 +569,34 @@ class TestOneLineErrors:
         assert made.value.filename == str(tmp_path / named)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "loop", "nowhere"]
 
+    def test_one_noise_stream_set_draws_both_scatter_traces(self, tmp_path, monkeypatch):
+        made, per_call = [], []
+
+        class CountedStreams(kljn.simulation.NormalStreams):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        def scatter_traces(*args):
+            before = len(made)
+            traces = kljn.simulation.scatter_traces(*args)
+            per_call.append(len(made) - before)
+            return traces
+
+        monkeypatch.setattr(kljn.simulation, "NormalStreams", CountedStreams)
+        monkeypatch.setattr(kljn.cli, "scatter_traces", scatter_traces)
+        path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
+        assert main(["run", path, str(tmp_path / "out"), "--threads", "1"]) == 0
+        assert per_call == [1]
+        # one window of each state
+        assert len(read_csv(tmp_path / "out" / "scatter.csv")) == 1 + 2 * 16
+
     def test_run_computes_every_artifact_before_it_writes(self, tmp_path, capsys, monkeypatch):
         # the scatter traces are the last values drawn: a failure there leaves no files
-        def scatter_trace(*args):
+        def scatter_traces(*args):
             raise MemoryError("no room for the trace")
 
-        monkeypatch.setattr(kljn.cli, "scatter_trace", scatter_trace)
+        monkeypatch.setattr(kljn.cli, "scatter_traces", scatter_traces)
         path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
         outdir = tmp_path / "out"
         assert main(["run", path, str(outdir), "--threads", "1"]) == 1

@@ -20,15 +20,16 @@ from kljn import (
     SimConfig,
     StatePolicy,
     ValidationError,
+    ber_report,
     estimate_ber,
     histogram,
     run_exchange,
     scatter_trace,
 )
-from kljn.circuit import theoretical_moments
+from kljn.circuit import ResistorQuad, theoretical_moments
 from kljn.errors import DegenerateInputError
 from kljn.noise import MAX_BITS
-from kljn.simulation import _block_rows, assign_states
+from kljn.simulation import _block_rows, assign_states, scatter_traces
 
 
 @pytest.fixture(scope="module")
@@ -551,6 +552,20 @@ class TestScatterTrace:
         assert sample_rho == pytest.approx(rho, abs=4.0 / np.sqrt(1000.0))
 
 
+    def test_traces_are_the_one_bit_traces_in_order(self, small_config):
+        windows = [(LineState.HL, 3), (LineState.LH, 0), (LineState.HL, 79), (LineState.LH, 3)]
+        traces = scatter_traces(small_config, windows)
+        assert traces.shape == (4, small_config.samples_per_bit, 2)
+        for trace, (state, bit) in zip(traces, windows):
+            assert trace.tobytes() == scatter_trace(state, small_config, bit).tobytes()
+
+    def test_traces_check_every_window_first(self, small_config):
+        with pytest.raises(ValidationError, match="bit_index"):
+            scatter_traces(small_config, [(LineState.LH, 0), (LineState.HL, 80)])
+        with pytest.raises(ValidationError, match="state"):
+            scatter_traces(small_config, [(LineState.LH, 0), ("HL", 1)])
+
+
 class TestVarianceMismatchIsVisible:
     def test_wrong_variances_leak_through_current(self, asymmetric_quad):
         # thermal-equilibrium amplitudes on an asymmetric quad shift the
@@ -658,6 +673,32 @@ class TestKernelMatchesPerBitReference:
             assert result.hl_mask[bit] == hl_mask[bit]
             got = [result.var_v[bit], result.var_i[bit], result.cross[bit]]
             assert got == columns[:, bit].tolist()
+
+
+class TestKernelScaleFreedom:
+    # resistances x 2**j and variances x 4**m scale v_e by 2**m and i_e by 2**(m - j)
+    # exactly, so every column scales by a power of two and every verdict stays
+    @pytest.mark.parametrize("j, m", [(10, -40), (60, -33), (-30, 20)])
+    def test_columns_scale_exactly(self, asymmetric_quad, asymmetric_vars, j, m):
+        unit = SimConfig(
+            quad=asymmetric_quad,
+            variances=asymmetric_vars,
+            samples_per_bit=32,
+            num_bits=20_000,
+            master_seed=11,
+            state_policy=StatePolicy.RANDOM,
+        )
+        quad = ResistorQuad(*(2.0**j * r for r in dataclasses.astuple(asymmetric_quad)))
+        variances = NoiseVariances(*(4.0**m * v for v in dataclasses.astuple(asymmetric_vars)))
+        scaled = dataclasses.replace(unit, quad=quad, variances=variances)
+        want, got = run_exchange(unit), run_exchange(scaled)
+        assert np.array_equal(got.hl_mask, want.hl_mask)
+        assert np.array_equal(got.var_v, 4.0**m * want.var_v)
+        assert np.array_equal(got.var_i, 4.0**m * 2.0 ** (-2 * j) * want.var_i)
+        assert np.array_equal(got.cross, 4.0**m * 2.0**-j * want.cross)
+        for entry, unit_entry in zip(ber_report(got), ber_report(want)):
+            assert (entry.ber, entry.leak) == (unit_entry.ber, unit_entry.leak)
+            assert (entry.bits_lh, entry.bits_hl) == (unit_entry.bits_lh, unit_entry.bits_hl)
 
 
 # sha256 of the column bytes at master seed 20151, recorded before the kernel

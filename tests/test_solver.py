@@ -218,6 +218,38 @@ class TestSolverMatchesReference:
                 assert all(type(v) is float for v in got), got
 
 
+class TestVariancesOutsideTheDoubleRange:
+    # feasible quads whose exact variances are about 2e-400 (v_hb and v_lb) and 2.5e399
+    # (v_ha) times the anchor: the first underflowed to 0, the second divided by 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [float, np.float64], ids=["float", "float64"])
+    @pytest.mark.parametrize("resistors", [(1e200, 1, 2, 1), (1, 1e200, 1, 2)], ids=str)
+    def test_feasible_quads_raise_one_range_error(self, resistors, kind):
+        quad = ResistorQuad(*(kind(r) for r in resistors))
+        with pytest.raises(ValidationError, match="outside the range of a double"):
+            solve_variances(quad, kind(1.0))
+
+    def test_an_anchor_that_takes_a_variance_out_of_the_range(self, asymmetric_quad):
+        # v_ha = 4.75 v_la overflows; v_hb = 2.8e-4 v_la of a close Bob pair underflows to 0
+        close_bob = ResistorQuad(1000.0, 10_000.0, 5000.0, 5001.0)
+        for quad, v_la_sq in ((asymmetric_quad, 1e308), (close_bob, 5e-324)):
+            with pytest.raises(ValidationError, match="outside the range of a double"):
+                solve_variances(quad, v_la_sq)
+
+    def test_infeasible_quads_stay_infeasible(self):
+        # the exact signs decide: v_hb underflows to -0
+        with pytest.raises(InfeasibleConfigError) as excinfo:
+            solve_variances(ResistorQuad(1e200, 1, 1, 2), 1.0)
+        assert excinfo.value.variance_name == "v_hb_sq"
+        assert math.copysign(1.0, excinfo.value.value) == -1.0
+
+    def test_subnormal_resistances_solve(self):
+        # the largest is scaled into [0.5, 1) by itself, so no scale factor overflows
+        unit = solve_variances(ResistorQuad(1.0, 2.0, 3.0, 4.0), 1.0)
+        tiny = ResistorQuad(2.0**-1060, 2.0**-1059, 3 * 2.0**-1060, 2.0**-1058)
+        assert solve_variances(tiny, 1.0) == unit
+
+
 class TestCheckSecurity:
     def test_solved_configuration_passes(self, asymmetric_quad, asymmetric_vars):
         residuals = check_security(asymmetric_quad, asymmetric_vars)
