@@ -39,10 +39,8 @@ from .simulation import (
     ber_report,
     histogram,
     run_exchange,
-    scatter_traces,
+    scatter_trace,
 )
-# benchmarks/spans.py traces kljn.cli.scatter_trace, so the name stays bound here.
-from .simulation import scatter_trace  # noqa: F401
 from .solver import check_security, solve_variances
 
 DEFAULT_HISTOGRAM_BINS = 200
@@ -221,7 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
     # the first bit of each state, LH first, drawn together
-    traces = scatter_traces(
+    traces = scatter_trace(
         sim,
         [
             (state, int(np.argmax(mask)))

@@ -108,18 +108,21 @@ def _wire_signals(
     hl_flags: np.ndarray,
     draws: np.ndarray,
     scratch: np.ndarray,
-) -> np.ndarray:
-    """Wire (v_e, i_e) windows of ``bits``, one row per bit, in state HL where hl_flags.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wire (v_e, i_e) windows of ``bits``, in state HL where hl_flags, and their row order.
 
-    hl_flags must be sorted, the LH bits first, so that each state's resistances
-    and variances act on one run of rows as scalars. Every row goes through
-    line_signals' expressions and is bit-identical to the bit simulated alone.
-    The sources are drawn from ``streams`` (keyed by config.master_seed) into
-    ``draws`` (C-contiguous, shape (2, bits, samples_per_bit)), which is
-    returned holding v_e and i_e; ``scratch`` (bits, samples_per_bit) is
-    overwritten.
+    Returns (draws, order): row j of v_e and i_e is the window of bits[order[j]].
+    The rows hold the LH bits, then the HL bits, each in their given order, so
+    that each state's resistances and variances act on one run of rows as
+    scalars. Every row goes through line_signals' expressions and is
+    bit-identical to the bit simulated alone. The sources are drawn from
+    ``streams`` (keyed by config.master_seed) into ``draws`` (C-contiguous,
+    shape (2, bits, samples_per_bit)), which is returned holding v_e and i_e;
+    ``scratch`` (bits, samples_per_bit) is overwritten.
     """
-    streams.fill(_stream_ids(bits, hl_flags), draws)
+    order = np.argsort(hl_flags, kind="stable")
+    hl_flags = hl_flags[order]
+    streams.fill(_stream_ids(bits[order], hl_flags), draws)
     lh_count = hl_flags.size - int(np.count_nonzero(hl_flags))
     for state, rows in ((LineState.LH, slice(0, lh_count)), (LineState.HL, slice(lh_count, None))):
         alice, bob = draws[:, rows]
@@ -127,7 +130,7 @@ def _wire_signals(
         alice *= math.sqrt(s_a)
         bob *= math.sqrt(s_b)
         superpose(*config.quad.connected(state), alice, bob, scratch[rows])
-    return draws
+    return draws, order
 
 
 def _window_moments(v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.ndarray) -> None:
@@ -158,11 +161,12 @@ def _window_moments(v_e: np.ndarray, i_e: np.ndarray, out: np.ndarray, prod: np.
         np.true_divide(variance, n - 1, out=variance)
 
 
-def scatter_traces(config: SimConfig, windows) -> np.ndarray:
+def scatter_trace(config: SimConfig, windows) -> np.ndarray:
     """Raw (v_e, i_e) pairs of each (state, bit_index), shape (windows, samples_per_bit, 2).
 
-    Exactly the samples run_exchange reduces to those bits' statistics. Every
-    window is drawn from one NormalStreams by one _wire_signals call.
+    Exactly the samples run_exchange reduces to those bits' statistics, in the
+    order of ``windows``; every window is checked before any is drawn. All are
+    drawn from one NormalStreams by one _wire_signals call.
     """
     windows = list(windows)
     for state, bit_index in windows:
@@ -170,26 +174,12 @@ def scatter_traces(config: SimConfig, windows) -> np.ndarray:
         require_int("bit_index", bit_index, 0, config.num_bits - 1)
     hl_flags = np.array([state is LineState.HL for state, _ in windows], dtype=bool)
     bits = np.array([bit_index for _, bit_index in windows], dtype=np.int64)
-    # _wire_signals takes the LH windows first
-    order = np.argsort(hl_flags, kind="stable")
     k, n = len(windows), config.samples_per_bit
-    v_e, i_e = _wire_signals(
-        NormalStreams(config.master_seed),
-        config,
-        bits[order],
-        hl_flags[order],
-        np.empty((2, k, n)),
-        np.empty((k, n)),
+    streams = NormalStreams(config.master_seed)
+    (v_e, i_e), order = _wire_signals(
+        streams, config, bits, hl_flags, np.empty((2, k, n)), np.empty((k, n))
     )
     return np.stack([v_e, i_e], axis=-1)[np.argsort(order)]
-
-
-def scatter_trace(state: LineState, config: SimConfig, bit_index: int) -> np.ndarray:
-    """Raw (v_e, i_e) pairs of one bit window, shape (samples_per_bit, 2).
-
-    The one-window case of scatter_traces.
-    """
-    return scatter_traces(config, [(state, bit_index)])[0]
 
 
 def assign_states(config: SimConfig) -> np.ndarray:
@@ -262,13 +252,11 @@ def _simulate_chunk(config: SimConfig, start: int, hl_flags: np.ndarray, columns
         for offset in range(0, hl_flags.size, rows):
             flags = hl_flags[offset : offset + rows]
             k = flags.size
-            # the block's rows hold its LH bits, then its HL bits
-            order = np.argsort(flags, kind="stable")
-            bits = start + offset + order
+            bits = np.arange(start + offset, start + offset + k)
             # a short last block views the first 2*k*n draws: a [:, :k] slice of a
             # (2, rows, n) view is not contiguous, and reshaping it would draw into a copy
-            v_e, i_e = _wire_signals(
-                streams, config, bits, flags[order], draws[: 2 * k * n].reshape(2, k, n), prod[:k]
+            (v_e, i_e), order = _wire_signals(
+                streams, config, bits, flags, draws[: 2 * k * n].reshape(2, k, n), prod[:k]
             )
             block = columns[:, offset : offset + k]
             _window_moments(v_e, i_e, block, prod[:k])

@@ -10,6 +10,7 @@ and checks the conditions for arbitrary variance sets.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # benchmarks/spans.py traces kljn.solver.theoretical_moments, so the name stays bound here.
@@ -19,6 +20,8 @@ from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationE
 # Alice's two resistances closer than SINGULAR_RTOL of the larger are treated as
 # equal: the v_hb and v_lb denominators carry their difference as a factor.
 SINGULAR_RTOL = 1e-15
+# The smallest positive normal double; a variance below it keeps too few significant bits.
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +54,9 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     Raises SingularDenominatorError when Alice's resistances differ by less than
     SINGULAR_RTOL of the larger; InfeasibleConfigError when a variance is not
     strictly positive: when Alice's and Bob's pairs are ordered differently; and
-    ValidationError when a feasible variance lies outside the range of a double,
-    as resistances spanning more than about 1e150 can make it.
+    ValidationError when a feasible variance, the anchor included, is not a normal
+    double (below sys.float_info.min, or infinite), as a subnormal anchor or
+    resistances spanning more than about 1e150 can make it.
     """
     require_real(("v_la_sq", v_la_sq))
     # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
@@ -77,9 +81,14 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
         v_hb_sq = v_ha_sq = v_lb_sq = math.inf
     # Both pairs differ, so each exact variance is non-zero and finite, and its sign,
     # which alone decides feasibility, is exact even where the value under- or
-    # overflowed: -0 and -inf are infeasible, +0 and +inf out of the double range.
-    for name, value in (("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq)):
-        if not 0.0 < value < math.inf:
+    # overflowed: -0 and -inf are infeasible. A positive variance that is not a normal
+    # double (+0, subnormal or +inf) has lost its significant bits or its size. v_hb
+    # and v_lb share a sign and the others are positive, so v_hb, checked first,
+    # decides feasibility before any range error.
+    for name, value in (
+        ("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq), ("v_la_sq", v_la_sq)
+    ):
+        if not _NORMAL_MIN <= value < math.inf:
             if math.copysign(1.0, value) < 0:
                 raise InfeasibleConfigError(name, value)
             raise ValidationError(
@@ -96,7 +105,10 @@ def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityRes
     Evaluates the three observables in both states and returns their
     scale-free differences. A configuration is secure when all residuals fall
     below the caller's tolerance; see SecurityResiduals.within. Raises
-    ValidationError when the moments leave the range of a double.
+    ValidationError when the moments leave the range of a double. Before that
+    check, resistances above about 1e154 ohm make (r_a + r_b) ** 2 raise
+    OverflowError, and below about 1e-162 ohm it underflows to 0 and the
+    moments raise ZeroDivisionError.
     """
     i_lh, v_lh, c_lh = wire_moments(quad.r_la, quad.r_hb, variances.v_la_sq, variances.v_hb_sq)
     i_hl, v_hl, c_hl = wire_moments(quad.r_ha, quad.r_lb, variances.v_ha_sq, variances.v_lb_sq)

@@ -577,14 +577,14 @@ class TestOneLineErrors:
                 made.append(args)
                 super().__init__(*args)
 
-        def scatter_traces(*args):
+        def scatter_trace(*args):
             before = len(made)
-            traces = kljn.simulation.scatter_traces(*args)
+            traces = kljn.simulation.scatter_trace(*args)
             per_call.append(len(made) - before)
             return traces
 
         monkeypatch.setattr(kljn.simulation, "NormalStreams", CountedStreams)
-        monkeypatch.setattr(kljn.cli, "scatter_traces", scatter_traces)
+        monkeypatch.setattr(kljn.cli, "scatter_trace", scatter_trace)
         path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
         assert main(["run", path, str(tmp_path / "out"), "--threads", "1"]) == 0
         assert per_call == [1]
@@ -593,10 +593,10 @@ class TestOneLineErrors:
 
     def test_run_computes_every_artifact_before_it_writes(self, tmp_path, capsys, monkeypatch):
         # the scatter traces are the last values drawn: a failure there leaves no files
-        def scatter_traces(*args):
+        def scatter_trace(*args):
             raise MemoryError("no room for the trace")
 
-        monkeypatch.setattr(kljn.cli, "scatter_traces", scatter_traces)
+        monkeypatch.setattr(kljn.cli, "scatter_trace", scatter_trace)
         path = write_config(tmp_path, samples_per_bit=16, num_bits=8)
         outdir = tmp_path / "out"
         assert main(["run", path, str(outdir), "--threads", "1"]) == 1

@@ -46,3 +46,32 @@ def test_every_traced_boundary_is_bound(monkeypatch):
         if attribute not in vars(owner)
     ]
     assert unbound == []
+
+
+def test_a_run_passes_through_every_traced_run_boundary(monkeypatch, tmp_path):
+    # a boundary the tracer wraps but `kljn run` never calls reads 0 in the benchmark
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import spans
+
+    import kljn.cli
+
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"resistors_ohm": {"r_la": 1000, "r_ha": 10000, "r_lb": 5000, "r_hb": 9000},'
+        ' "v_la_variance_v2": 1.0}'
+    )
+    outdir = str(tmp_path / "out")
+    with spans.traced(spans.SpanRecorder()) as recorder:
+        argv = ["run", str(config), outdir, "--bits", "64", "--samples", "8", "--threads", "1"]
+        assert kljn.cli.main(argv) == 0
+    recorded = {span.name for span in recorder.spans}
+    expected = {
+        "cli.main",
+        "cli.load_config",
+        "solver.solve_variances",
+        "simulation.run_exchange",
+        "simulation.ber_report",
+        "simulation.histogram",
+        "simulation.scatter_trace",
+    }
+    assert sorted(expected - recorded) == []

@@ -29,7 +29,7 @@ from kljn import (
 from kljn.circuit import ResistorQuad, theoretical_moments
 from kljn.errors import DegenerateInputError
 from kljn.noise import MAX_BITS
-from kljn.simulation import _block_rows, assign_states, scatter_traces
+from kljn.simulation import _block_rows, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -94,42 +94,42 @@ class TestSimConfig:
         assert config.state_policy is StatePolicy.ALTERNATE
 
 
-class TestSimulateBit:
-    """One bit regenerated in isolation with scatter_trace."""
+class TestOneBitWindow:
+    """One bit's window regenerated in isolation with scatter_trace."""
 
     def test_deterministic(self, small_config):
-        first = scatter_trace(LineState.LH, small_config, 5)
-        second = scatter_trace(LineState.LH, small_config, 5)
+        first = scatter_trace(small_config, [(LineState.LH, 5)])[0]
+        second = scatter_trace(small_config, [(LineState.LH, 5)])[0]
         assert np.array_equal(first, second)
 
     def test_distinct_bits_differ(self, small_config):
         assert not np.array_equal(
-            scatter_trace(LineState.LH, small_config, 0),
-            scatter_trace(LineState.LH, small_config, 1),
+            scatter_trace(small_config, [(LineState.LH, 0)])[0],
+            scatter_trace(small_config, [(LineState.LH, 1)])[0],
         )
 
     def test_bit_index_bounds(self, small_config):
         with pytest.raises(ValidationError):
-            scatter_trace(LineState.LH, small_config, -1)
+            scatter_trace(small_config, [(LineState.LH, -1)])
         with pytest.raises(ValidationError):
-            scatter_trace(LineState.LH, small_config, small_config.num_bits)
+            scatter_trace(small_config, [(LineState.LH, small_config.num_bits)])
         for bad in (1.5, True):
             with pytest.raises(ValidationError):
-                scatter_trace(LineState.LH, small_config, bad)
+                scatter_trace(small_config, [(LineState.LH, bad)])
 
     def test_stream_ids_must_fit_64_bits(self, asymmetric_quad, asymmetric_vars):
         # bit b owns stream ids 8b..8b+7, so 2**61 - 1 is the last bit with a key
         config = SimConfig(
             quad=asymmetric_quad, variances=asymmetric_vars, samples_per_bit=4, num_bits=2**61
         )
-        assert scatter_trace(LineState.HL, config, 2**61 - 1).shape == (4, 2)
+        assert scatter_trace(config, [(LineState.HL, 2**61 - 1)])[0].shape == (4, 2)
         with pytest.raises(ValidationError):
-            scatter_trace(LineState.LH, config, 2**61)
+            scatter_trace(config, [(LineState.LH, 2**61)])
 
     def test_statistics_definition(self, small_config, small_result):
         # the reported numbers are the (n-1) variances and the raw product
         # mean of the reconstructed window; bit 3 is HL under the alternate policy
-        pairs = scatter_trace(LineState.HL, small_config, 3)
+        pairs = scatter_trace(small_config, [(LineState.HL, 3)])[0]
         assert small_result.hl_mask[3]
         assert small_result.var_v[3] == pytest.approx(pairs[:, 0].var(ddof=1), rel=1e-15)
         assert small_result.var_i[3] == pytest.approx(pairs[:, 1].var(ddof=1), rel=1e-15)
@@ -196,7 +196,7 @@ class TestRunExchange:
             assert got == columns[:, i].tolist()
             state = LineState.HL if hl_mask[i] else LineState.LH
             assert np.array_equal(
-                scatter_trace(state, small_config, i), np.column_stack(windows[i])
+                scatter_trace(small_config, [(state, i)])[0], np.column_stack(windows[i])
             )
 
     def test_parallel_equals_serial(self, small_config, small_result):
@@ -507,7 +507,9 @@ class TestEnumArguments:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda config, result: scatter_trace("HL", config, 1), id="scatter_trace"),
+            pytest.param(
+                lambda config, result: scatter_trace(config, [("HL", 1)]), id="scatter_trace"
+            ),
             pytest.param(lambda config, result: result.state_mask("HL"), id="state_mask"),
             pytest.param(
                 lambda config, result: result.indicator_values("voltage_variance"),
@@ -532,9 +534,9 @@ class TestEnumArguments:
 
 class TestScatterTrace:
     def test_shape_and_determinism(self, small_config):
-        pairs = scatter_trace(LineState.LH, small_config, 0)
+        pairs = scatter_trace(small_config, [(LineState.LH, 0)])[0]
         assert pairs.shape == (small_config.samples_per_bit, 2)
-        assert np.array_equal(pairs, scatter_trace(LineState.LH, small_config, 0))
+        assert np.array_equal(pairs, scatter_trace(small_config, [(LineState.LH, 0)])[0])
 
     def test_correlation_sign_and_magnitude(self, asymmetric_quad, asymmetric_vars):
         config = SimConfig(
@@ -544,7 +546,7 @@ class TestScatterTrace:
             num_bits=1,
             master_seed=2025,
         )
-        pairs = scatter_trace(LineState.LH, config, 0)
+        pairs = scatter_trace(config, [(LineState.LH, 0)])[0]
         want = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
         rho = want.cross_moment / np.sqrt(want.voltage_variance * want.current_variance)
         sample_rho = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
@@ -554,16 +556,16 @@ class TestScatterTrace:
 
     def test_traces_are_the_one_bit_traces_in_order(self, small_config):
         windows = [(LineState.HL, 3), (LineState.LH, 0), (LineState.HL, 79), (LineState.LH, 3)]
-        traces = scatter_traces(small_config, windows)
+        traces = scatter_trace(small_config, windows)
         assert traces.shape == (4, small_config.samples_per_bit, 2)
         for trace, (state, bit) in zip(traces, windows):
-            assert trace.tobytes() == scatter_trace(state, small_config, bit).tobytes()
+            assert trace.tobytes() == scatter_trace(small_config, [(state, bit)])[0].tobytes()
 
     def test_traces_check_every_window_first(self, small_config):
         with pytest.raises(ValidationError, match="bit_index"):
-            scatter_traces(small_config, [(LineState.LH, 0), (LineState.HL, 80)])
+            scatter_trace(small_config, [(LineState.LH, 0), (LineState.HL, 80)])
         with pytest.raises(ValidationError, match="state"):
-            scatter_traces(small_config, [(LineState.LH, 0), ("HL", 1)])
+            scatter_trace(small_config, [(LineState.LH, 0), ("HL", 1)])
 
 
 class TestVarianceMismatchIsVisible:
@@ -669,7 +671,8 @@ class TestKernelMatchesPerBitReference:
         for bit in (0, 1, _block_rows(samples), last):
             state = LineState.HL if hl_mask[bit] else LineState.LH
             v_e, i_e = windows[bit]
-            assert np.array_equal(scatter_trace(state, config, bit), np.column_stack([v_e, i_e]))
+            trace = scatter_trace(config, [(state, bit)])[0]
+            assert np.array_equal(trace, np.column_stack([v_e, i_e]))
             assert result.hl_mask[bit] == hl_mask[bit]
             got = [result.var_v[bit], result.var_i[bit], result.cross[bit]]
             assert got == columns[:, bit].tolist()
@@ -755,7 +758,9 @@ class TestKernelDigests:
         )
         assert got == COLUMN_DIGESTS[policy, samples]
         last = config.num_bits - 1
-        traces = b"".join(scatter_trace(state, config, last).tobytes() for state in LineState)
+        traces = b"".join(
+            scatter_trace(config, [(state, last)])[0].tobytes() for state in LineState
+        )
         assert hashlib.sha256(traces).hexdigest() == SCATTER_DIGESTS[samples]
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,17 @@ class TestVariancesOutsideTheDoubleRange:
         for quad, v_la_sq in ((asymmetric_quad, 1e308), (close_bob, 5e-324)):
             with pytest.raises(ValidationError, match="outside the range of a double"):
                 solve_variances(quad, v_la_sq)
+
+    def test_subnormal_variances_are_outside_the_range(self, asymmetric_quad):
+        # at 5e-324 the solved v_lb and v_hb rounded to 5e-324, exactly 3.3e-324 and 7.0e-324
+        for v_la_sq in (5e-324, 1e-310):
+            with pytest.raises(ValidationError, match="outside the range of a double"):
+                solve_variances(asymmetric_quad, v_la_sq)
+        # an exact negative sign is still infeasible
+        with pytest.raises(InfeasibleConfigError):
+            solve_variances(ResistorQuad(5000.0, 1000.0, 1000.0, 2000.0), 5e-324)
+        solved = solve_variances(asymmetric_quad, 1e-300)
+        assert min(solved.v_ha_sq, solved.v_lb_sq, solved.v_hb_sq) >= sys.float_info.min
 
     def test_infeasible_quads_stay_infeasible(self):
         # the exact signs decide: v_hb underflows to -0
