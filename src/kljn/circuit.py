@@ -14,13 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    LengthMismatchError,
-    ValidationError,
-    require_member,
-    require_real,
-)
+from .errors import ValidationError, require_member, require_real
 
 
 class LineState(Enum):
@@ -100,17 +94,6 @@ class LineSignals:
     v_e: np.ndarray
     i_e: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v_e", np.asarray(self.v_e, dtype=np.float64))
-        object.__setattr__(self, "i_e", np.asarray(self.i_e, dtype=np.float64))
-        if self.v_e.shape != self.i_e.shape:
-            raise LengthMismatchError(
-                f"v_e has shape {self.v_e.shape}, i_e has shape {self.i_e.shape}"
-            )
-
-    def __len__(self) -> int:
-        return self.v_e.size
-
 
 class SecondMoments(NamedTuple):
     """Eve's three observable second-order statistics."""
@@ -138,19 +121,16 @@ def line_signals(
     toward Alice's. ``alice_source`` must be the generator of Alice's connected
     resistor in ``state`` (low for LH, high for HL) and symmetrically for Bob.
 
-    Raises LengthMismatchError for unequal lengths, EmptyInputError for
-    zero-length input.
+    Raises ValidationError for input that is not 1-D, of unequal lengths or empty.
     """
     v_a = np.array(alice_source, dtype=np.float64)
     v_b = np.array(bob_source, dtype=np.float64)
     if v_a.ndim != 1 or v_b.ndim != 1:
         raise ValidationError("source sample sequences must be one-dimensional")
     if v_a.size != v_b.size:
-        raise LengthMismatchError(
-            f"alice_source has {v_a.size} samples, bob_source has {v_b.size}"
-        )
+        raise ValidationError(f"alice_source has {v_a.size} samples, bob_source has {v_b.size}")
     if v_a.size == 0:
-        raise EmptyInputError("source sample sequences are empty")
+        raise ValidationError("source sample sequences are empty")
     v_e, i_e = superpose(*quad.connected(state), v_a, v_b, np.empty_like(v_a))
     return LineSignals(v_e=v_e, i_e=i_e)
 

@@ -89,7 +89,7 @@ def load_config(path: str | Path) -> FileConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge int literal, deep nesting
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path} must hold a JSON object")

@@ -15,14 +15,6 @@ class ValidationError(KljnError, ValueError):
     """A value violates a domain-type invariant or an operation precondition."""
 
 
-class LengthMismatchError(ValidationError):
-    """Paired sample sequences have different lengths."""
-
-
-class EmptyInputError(ValidationError):
-    """An operation received an empty sample sequence."""
-
-
 class DegenerateInputError(ValidationError):
     """Statistics input lacks the structure required (e.g. only one line state)."""
 
@@ -76,15 +68,20 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
     value that breaks it.
 
     np.float64 subclasses float and passes; other numpy scalars do not. One call checks a
-    whole record, not one call per field. An int beyond the float range raises OverflowError.
+    whole record, not one call per field. An int beyond the range of a double is not finite.
     """
     for name, value in fields:
-        # an exact float, the common case, skips the two isinstance calls
-        if type(value) is not float and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
+        # an exact float, the common case, skips the type checks and the conversion
+        if type(value) is float:
+            number = value
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+        else:
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+        if not (math.isfinite(number) and (number > 0 or allow_zero and number == 0)):
             sign = "non-negative" if allow_zero else "positive"
             raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
 

@@ -209,8 +209,9 @@ class ExchangeResult:
             column = column.view()
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        if not self.hl_mask.shape == self.var_v.shape == self.var_i.shape == self.cross.shape:
-            raise ValidationError("exchange columns must all have the same length")
+        shape = self.hl_mask.shape
+        if len(shape) != 1 or not shape == self.var_v.shape == self.var_i.shape == self.cross.shape:
+            raise ValidationError("exchange columns must all be 1-D and of the same length")
         for indicator in Indicator:
             if not np.isfinite(self.indicator_values(indicator)).all():
                 raise ValidationError(f"{indicator.value} values must all be finite")

@@ -3,7 +3,6 @@ import pytest
 
 from kljn import LineState, NoiseVariances, ResistorQuad, ValidationError
 from kljn.circuit import line_signals, theoretical_moments
-from kljn.errors import EmptyInputError, LengthMismatchError
 
 
 @pytest.fixture
@@ -60,6 +59,8 @@ class TestFieldValidation:
                 (np.float32(1.0), "a real number"),
                 (-1, "positive and finite"),
                 (float("nan"), "positive and finite"),
+                (10**400, "positive and finite"),
+                (-(10**400), "positive and finite"),
             ):
                 values = [1.0, 2.0, 3.0, 4.0]
                 values[index] = bad
@@ -101,19 +102,16 @@ class TestLineSignals:
         assert not out.i_e.any()
 
     def test_length_mismatch(self, small_quad):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match="^alice_source has 2 samples, bob_source has 1$"):
             line_signals(LineState.LH, small_quad, [1.0, 2.0], [1.0])
 
     def test_empty_input(self, small_quad):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValidationError, match="^source sample sequences are empty$"):
             line_signals(LineState.LH, small_quad, [], [])
 
     def test_non_1d_input(self, small_quad):
         with pytest.raises(ValidationError):
             line_signals(LineState.LH, small_quad, [[1.0]], [[2.0]])
-
-    def test_len(self, small_quad):
-        assert len(line_signals(LineState.LH, small_quad, [1.0, 2.0], [3.0, 4.0])) == 2
 
     @pytest.mark.parametrize("state", list(LineState))
     def test_kirchhoff_identities(self, state, asymmetric_quad):

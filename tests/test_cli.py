@@ -495,6 +495,29 @@ class TestOneLineErrors:
         path.write_bytes(b"\xff\xfe{}")
         assert_one_line_error(run_module("solve", str(path)))
 
+    @pytest.mark.parametrize("command", ["solve", "check", "run"])
+    def test_config_nested_too_deeply(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        outdir = [str(tmp_path / "out")] if command == "run" else []
+        done = run_module(command, str(path), *outdir)
+        assert_one_line_error(done)
+        assert "is not valid JSON: maximum recursion depth exceeded" in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_config_int_literal_of_over_4300_digits(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"resistors_ohm": {"r_la": 1' + "0" * 5000 + "}}")
+        done = run_module("solve", str(path))
+        assert_one_line_error(done)
+        assert "is not valid JSON: Exceeds the limit" in done.stderr
+
+    def test_resistance_beyond_the_range_of_a_double(self, tmp_path):
+        resistors = dict(ASYMMETRIC, r_la=10**400)
+        done = run_module("solve", write_config(tmp_path, resistors_ohm=resistors))
+        assert_one_line_error(done)
+        assert done.stderr.startswith("error: resistors_ohm.r_la must be positive and finite, got 1")
+
     @pytest.mark.parametrize(
         "outdir, flags",
         [

@@ -2,9 +2,13 @@
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import kljn
+import kljn.errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,6 +50,54 @@ def test_every_traced_boundary_is_bound(monkeypatch):
         if attribute not in vars(owner)
     ]
     assert unbound == []
+
+
+def test_the_traced_per_bit_boundaries_keep_their_measured_contract(monkeypatch):
+    # the tracer reads a draw's sample count and bytes, and the bytes of .v_e and .i_e
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import spans
+
+    import kljn.simulation
+    import kljn.solver
+    from kljn.noise import StreamSeed
+
+    quad = kljn.ResistorQuad(1000.0, 10_000.0, 5000.0, 9000.0)
+    variances = kljn.NoiseVariances(1.0, 2.0, 3.0, 4.0)
+    with spans.traced(spans.SpanRecorder()) as recorder:
+        draw = kljn.simulation.gaussian_block(16, 1.0, StreamSeed(0, 0))
+        kljn.simulation.line_signals(kljn.LineState.LH, quad, draw, np.ones(16))
+        kljn.solver.theoretical_moments(kljn.LineState.LH, quad, variances)
+        StreamSeed(0, 0).generator()
+    by_name = {span.name: span for span in recorder.spans}
+    # one generator span inside the draw, one called directly
+    assert Counter(span.name for span in recorder.spans) == {
+        "noise.generator": 2,
+        "noise.gaussian_block": 1,
+        "circuit.line_signals": 1,
+        "circuit.theoretical_moments": 1,
+    }
+    draw_span = by_name["noise.gaussian_block"]
+    assert (draw_span.samples, draw_span.nbytes) == (16, 128)
+    assert by_name["circuit.line_signals"].nbytes == 256
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error class that nothing raises is dead code that still reads as a promise
+    defined = {
+        name
+        for name, value in vars(kljn.errors).items()
+        if isinstance(value, type)
+        and issubclass(value, Exception)
+        and value.__module__ == "kljn.errors"
+    }
+    raised = set()
+    for path in (ROOT / "src" / "kljn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name):
+                    raised.add(target.id)
+    assert defined and sorted(defined - raised) == []
 
 
 def test_a_run_passes_through_every_traced_run_boundary(monkeypatch, tmp_path):

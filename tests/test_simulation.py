@@ -353,6 +353,11 @@ class TestExchangeResult:
             with pytest.raises(ValidationError):
                 ExchangeResult(*bad)
 
+    @pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2-D", "0-d"])
+    def test_columns_that_are_not_1d_rejected(self, shape):
+        with pytest.raises(ValidationError, match="1-D"):
+            ExchangeResult(np.zeros(shape, bool), np.ones(shape), np.ones(shape), np.ones(shape))
+
     def test_columns_are_read_only(self):
         var_v = np.array([1.0, 2.0])
         result = ExchangeResult([False, True], var_v, [3.0, 4.0], [0.5, -0.5])
