@@ -5,6 +5,9 @@ scalar input is checked by: require_int, require_real and require_member.
 from __future__ import annotations
 
 import math
+import sys
+
+_DOUBLE_MAX = sys.float_info.max
 
 
 class KljnError(Exception):
@@ -71,17 +74,13 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
     whole record, not one call per field. An int beyond the range of a double is not finite.
     """
     for name, value in fields:
-        # an exact float, the common case, skips the type checks and the conversion
-        if type(value) is float:
-            number = value
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        # an exact float, the common case, skips the two isinstance calls
+        if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
-        else:
-            try:
-                number = float(value)
-            except OverflowError:
-                number = math.inf
-        if not (math.isfinite(number) and (number > 0 or allow_zero and number == 0)):
+        # int-float comparisons are exact and never overflow; NaN and inf fail them
+        if not (0 < value <= _DOUBLE_MAX or allow_zero and value == 0):
             sign = "non-negative" if allow_zero else "positive"
             raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
 
