@@ -43,16 +43,29 @@ class SingularDenominatorError(KljnError):
 class InfeasibleConfigError(KljnError):
     """The resistor set admits no positive noise variances.
 
-    Carries which generator variance came out non-positive and its value.
+    Raised as ``InfeasibleConfigError(variance_name, value)``: which generator
+    variance came out non-positive, and its value. Both stay in ``args``, so the
+    error pickles, and the message is formatted only when it is shown.
     """
 
-    def __init__(self, variance_name: str, value: float):
-        self.variance_name = variance_name
-        self.value = value
-        super().__init__(
-            f"infeasible resistor configuration: {variance_name} = {value:.6g} V**2 "
+    variance_name = property(lambda self: self.args[0])
+    value = property(lambda self: self.args[1])
+
+    def __str__(self) -> str:
+        return (
+            f"infeasible resistor configuration: {self.variance_name} = {self.value:.6g} V**2 "
             "(must be strictly positive)"
         )
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or what it is when that fails, as for an int too long to write out."""
+    try:
+        return repr(value)
+    except ValueError:  # sys.get_int_max_str_digits() caps int-to-string conversion
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__}"
 
 
 def require_int(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> None:
@@ -62,7 +75,7 @@ def require_int(name: str, value: object, low: float = -math.inf, high: float = 
             bounds = f" in [{low}, {high}]"
         else:
             bounds = f" >= {low}" if low > -math.inf else ""
-        raise ValidationError(f"{name} must be an integer{bounds}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
 def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
@@ -78,15 +91,15 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
         if type(value) is not float and (
             isinstance(value, bool) or not isinstance(value, (int, float))
         ):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
+            raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
         # int-float comparisons are exact and never overflow; NaN and inf fail them
         if not (0 < value <= _DOUBLE_MAX or allow_zero and value == 0):
             sign = "non-negative" if allow_zero else "positive"
-            raise ValidationError(f"{name} must be {sign} and finite, got {value!r}")
+            raise ValidationError(f"{name} must be {sign} and finite, got {_shown(value)}")
 
 
 def require_member(name: str, value: object, kind: type) -> None:
     """Membership rule: ``value`` must be an instance of ``kind``, an enum or a record
     class; else ValidationError."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}")
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {_shown(value)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # benchmarks/spans.py traces kljn.solver.theoretical_moments, so the name stays bound here.
 from .circuit import NoiseVariances, ResistorQuad, theoretical_moments, wire_moments  # noqa: F401
@@ -20,12 +20,11 @@ from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationE
 # Alice's two resistances closer than SINGULAR_RTOL of the larger are treated as
 # equal: the v_hb and v_lb denominators carry their difference as a factor.
 SINGULAR_RTOL = 1e-15
-# The smallest positive normal double; a variance below it keeps too few significant bits.
-_NORMAL_MIN = sys.float_info.min
+# The normal doubles: a variance below _NORMAL_MIN keeps too few significant bits.
+_NORMAL_MIN, _DOUBLE_MAX = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True, slots=True)
-class SecurityResiduals:
+class SecurityResiduals(NamedTuple):
     """Mismatch of each observable between the LH and HL states, free of physical scale.
 
     For current variance I, voltage variance V and cross moment C: |ΔI| / max I,
@@ -38,11 +37,11 @@ class SecurityResiduals:
 
     @property
     def worst(self) -> float:
-        return max(self.current_residual, self.voltage_residual, self.cross_residual)
+        return max(self)
 
     def within(self, tolerance: float) -> bool:
         """True when all three residuals are below ``tolerance``."""
-        return self.worst < tolerance
+        return max(self) < tolerance
 
 
 def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
@@ -83,19 +82,19 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     # which alone decides feasibility, is exact even where the value under- or
     # overflowed: -0 and -inf are infeasible. A positive variance that is not a normal
     # double (+0, subnormal or +inf) has lost its significant bits or its size. v_hb
-    # and v_lb share a sign and the others are positive, so v_hb, checked first,
-    # decides feasibility before any range error.
-    for name, value in (
-        ("v_hb_sq", v_hb_sq), ("v_ha_sq", v_ha_sq), ("v_lb_sq", v_lb_sq), ("v_la_sq", v_la_sq)
+    # and v_lb share a sign and the others are positive, so v_hb's sign alone decides
+    # feasibility, before any range error.
+    if not (
+        _NORMAL_MIN <= v_hb_sq <= _DOUBLE_MAX and _NORMAL_MIN <= v_ha_sq <= _DOUBLE_MAX
+        and _NORMAL_MIN <= v_lb_sq <= _DOUBLE_MAX and _NORMAL_MIN <= v_la_sq <= _DOUBLE_MAX
     ):
-        if not _NORMAL_MIN <= value < math.inf:
-            if math.copysign(1.0, value) < 0:
-                raise InfeasibleConfigError(name, value)
-            raise ValidationError(
-                f"the variances securing the resistances {float(quad.r_la)!r}, "
-                f"{float(quad.r_ha)!r}, {float(quad.r_lb)!r} and {float(quad.r_hb)!r} ohm "
-                f"at v_la_sq = {v_la_sq!r} V**2 lie outside the range of a double"
-            )
+        if math.copysign(1.0, v_hb_sq) < 0:
+            raise InfeasibleConfigError("v_hb_sq", v_hb_sq)
+        raise ValidationError(
+            f"the variances securing the resistances {float(quad.r_la)!r}, "
+            f"{float(quad.r_ha)!r}, {float(quad.r_lb)!r} and {float(quad.r_hb)!r} ohm "
+            f"at v_la_sq = {v_la_sq!r} V**2 lie outside the range of a double"
+        )
     return NoiseVariances(v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq)
 
 

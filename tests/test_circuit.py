@@ -3,6 +3,11 @@ import pytest
 
 from kljn import LineState, NoiseVariances, ResistorQuad, ValidationError
 from kljn.circuit import line_signals, theoretical_moments
+from kljn.errors import require_int, require_member
+
+# Python does not write out an int of over 4300 digits; the input rules show its size.
+HUGE_INT = 10**5000
+HUGE_INT_SHOWN = "an int of 16610 bits"
 
 
 @pytest.fixture
@@ -61,16 +66,31 @@ class TestFieldValidation:
                 (float("nan"), "positive and finite"),
                 (10**400, "positive and finite"),
                 (-(10**400), "positive and finite"),
+                (HUGE_INT, "positive and finite"),
             ):
                 values = [1.0, 2.0, 3.0, 4.0]
                 values[index] = bad
                 with pytest.raises(ValidationError) as excinfo:
                     record(*values)
-                assert str(excinfo.value) == f"{name} must be {problem}, got {bad!r}"
+                shown = HUGE_INT_SHOWN if bad is HUGE_INT else repr(bad)
+                assert str(excinfo.value) == f"{name} must be {problem}, got {shown}"
 
     def test_accepts_int_float_and_numpy_float(self, record, fields):
         made = record(1, 2.0, np.float64(3.0), 4)
         assert tuple(getattr(made, name) for name in fields) == (1, 2.0, 3.0, 4)
+
+
+def test_the_int_and_member_rules_show_a_huge_int_by_its_size():
+    with pytest.raises(ValidationError) as excinfo:
+        require_int("n", HUGE_INT, 0, 10)
+    assert str(excinfo.value) == f"n must be an integer in [0, 10], got {HUGE_INT_SHOWN}"
+    with pytest.raises(ValidationError) as excinfo:
+        require_member("quad", HUGE_INT, ResistorQuad)
+    assert str(excinfo.value) == f"quad must be a ResistorQuad, got {HUGE_INT_SHOWN}"
+    # a value holding such an int is shown by its type
+    with pytest.raises(ValidationError) as excinfo:
+        require_member("quad", [HUGE_INT], ResistorQuad)
+    assert str(excinfo.value) == "quad must be a ResistorQuad, got a list"
 
 
 class TestLineSignals:

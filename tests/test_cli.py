@@ -76,7 +76,10 @@ class TestSolveCommand:
             resistors_ohm={"r_la": 5000.0, "r_ha": 1000.0, "r_lb": 1000.0, "r_hb": 2000.0},
         )
         assert main(["solve", path]) == 2
-        assert "v_hb_sq" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: infeasible resistor configuration: v_hb_sq = -0.125 V**2 "
+            "(must be strictly positive)\n"
+        )
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1

@@ -1,6 +1,7 @@
 """The package's public surface: what README documents and what the benchmark tracer wraps."""
 
 import ast
+import pickle
 import re
 from collections import Counter
 from pathlib import Path
@@ -81,15 +82,20 @@ def test_the_traced_per_bit_boundaries_keep_their_measured_contract(monkeypatch)
     assert by_name["circuit.line_signals"].nbytes == 256
 
 
-def test_every_error_class_is_raised_somewhere():
-    # an error class that nothing raises is dead code that still reads as a promise
-    defined = {
-        name
+def error_classes():
+    """Every exception class that kljn.errors defines, by name."""
+    return {
+        name: value
         for name, value in vars(kljn.errors).items()
         if isinstance(value, type)
         and issubclass(value, Exception)
         and value.__module__ == "kljn.errors"
     }
+
+
+def test_every_error_class_is_raised_somewhere():
+    # an error class that nothing raises is dead code that still reads as a promise
+    defined = set(error_classes())
     raised = set()
     for path in (ROOT / "src" / "kljn").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -98,6 +104,21 @@ def test_every_error_class_is_raised_somewhere():
                 if isinstance(target, ast.Name):
                     raised.add(target.id)
     assert defined and sorted(defined - raised) == []
+
+
+def test_every_error_class_pickles():
+    # run_exchange sends a child's exception through a pipe by pickle, as a
+    # process pool does with one that solve_variances raises
+    try:
+        kljn.solve_variances(kljn.ResistorQuad(5000, 1000, 1000, 2000), 1.0)
+    except kljn.InfeasibleConfigError as exc:
+        infeasible = exc
+    for cls in error_classes().values():
+        error = infeasible if cls is kljn.InfeasibleConfigError else cls("a message")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is cls and str(copy) == str(error)
+    copy = pickle.loads(pickle.dumps(infeasible))
+    assert (copy.variance_name, copy.value) == ("v_hb_sq", -0.125)
 
 
 def test_a_run_passes_through_every_traced_run_boundary(monkeypatch, tmp_path):

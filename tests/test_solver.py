@@ -273,6 +273,19 @@ class TestCheckSecurity:
         residuals = check_security(asymmetric_quad, equilibrium)
         assert residuals.current_residual == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert not residuals.within(1e-9)
+        # a named tuple: each field by name and by position, in RESIDUAL_NAMES order
+        assert residuals._fields == RESIDUAL_NAMES
+        assert tuple(residuals) == tuple(getattr(residuals, name) for name in RESIDUAL_NAMES)
+        assert residuals[0] == residuals.current_residual
+        assert residuals.worst == residuals.voltage_residual == max(
+            residuals.current_residual, residuals.voltage_residual, residuals.cross_residual
+        )
+        # within is strict: a tolerance equal to the worst residual fails
+        assert not residuals.within(residuals.worst)
+        assert residuals.within(math.nextafter(residuals.worst, math.inf))
+        for name in RESIDUAL_NAMES:
+            with pytest.raises(AttributeError):
+                setattr(residuals, name, 0.0)
 
     def test_symmetric_pairs_have_zero_cross_moment(self, symmetric_quad):
         variances = NoiseVariances(v_la_sq=1.0, v_ha_sq=9.0, v_lb_sq=1.0, v_hb_sq=9.0)
@@ -324,6 +337,7 @@ class TestCheckSecurity:
         variances = NoiseVariances(*np.array([1.0, 10.0, 5.0, 9.0]))
         residuals = check_security(as_numpy, variances)
         assert all(type(getattr(residuals, name)) is float for name in RESIDUAL_NAMES)
+        assert type(residuals.worst) is float
         assert residuals == check_security(
             asymmetric_quad, NoiseVariances(1.0, 10.0, 5.0, 9.0)
         )
