@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,31 +94,17 @@ class LineSignals:
     i_e: np.ndarray
 
 
-class SecondMoments(NamedTuple):
-    """Eve's three observable second-order statistics."""
-
-    current_variance: float
-    voltage_variance: float
-    cross_moment: float
-
-
 def line_signals(
     state: LineState,
     quad: ResistorQuad,
     alice_source: np.ndarray,
     bob_source: np.ndarray,
 ) -> LineSignals:
-    """Superpose the two connected sources into the signals on the wire.
+    """Superpose the two connected sources into the signals on the wire (see superpose).
 
-    The wire is ideal, so a single loop current flows. With the connected pair
-    (r_a, r_b) and source samples (v_a, v_b):
-
-        i_e = (v_b - v_a) / (r_a + r_b)
-        v_e = (r_b * v_a + r_a * v_b) / (r_a + r_b)
-
-    Current is positive when conventional current flows from Bob's terminal
-    toward Alice's. ``alice_source`` must be the generator of Alice's connected
-    resistor in ``state`` (low for LH, high for HL) and symmetrically for Bob.
+    ``alice_source`` must be the generator of Alice's connected resistor in
+    ``state`` (low for LH, high for HL) and symmetrically for Bob. The sources
+    are copied, not modified.
 
     Raises ValidationError for input that is not 1-D, of unequal lengths or empty.
     """
@@ -138,12 +123,18 @@ def line_signals(
 def superpose(
     r_a, r_b, v_a: np.ndarray, v_b: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Wire (v_e, i_e) of sources v_a, v_b behind resistances r_a, r_b (see line_signals).
+    """Wire (v_e, i_e) of sources v_a, v_b behind the connected resistances r_a, r_b.
 
-    Elementwise, so one call combines a whole block of windows of one state.
-    Allocates no sample array: v_e and i_e are returned in the buffers of v_a
-    and v_b, and ``scratch``, shaped like them, is overwritten with Bob's term
-    r_a * v_b.
+    The wire is ideal, so a single loop current flows:
+
+        i_e = (v_b - v_a) / (r_a + r_b)
+        v_e = (r_b * v_a + r_a * v_b) / (r_a + r_b)
+
+    Current is positive when conventional current flows from Bob's terminal
+    toward Alice's. Elementwise, so one call combines a whole block of windows
+    of one state. Allocates no sample array: v_e and i_e are returned in the
+    buffers of v_a and v_b, and ``scratch``, shaped like them, is overwritten
+    with Bob's term r_a * v_b.
     """
     loop_resistance = r_a + r_b
     bob_term = np.multiply(r_a, v_b, out=scratch)
@@ -169,6 +160,6 @@ def wire_moments(r_a, r_b, s_a, s_b) -> tuple[float, float, float]:
 
 def theoretical_moments(
     state: LineState, quad: ResistorQuad, variances: NoiseVariances
-) -> SecondMoments:
-    """Exact second moments of the wire signals in ``state`` (see wire_moments)."""
-    return SecondMoments(*wire_moments(*quad.connected(state), *variances.connected(state)))
+) -> tuple[float, float, float]:
+    """wire_moments of the resistances and variances connected in ``state``."""
+    return wire_moments(*quad.connected(state), *variances.connected(state))

@@ -152,7 +152,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             "to derive it from 'v_la_variance_v2')"
         )
     residuals = check_security(config.quad, variances)
-    values = {name: getattr(residuals, name) for name in _RESIDUAL_OBSERVABLES}
+    values = residuals._asdict()
     for name, value in values.items():
         print(f"{name},{value:.17g}")
     if residuals.within(args.tolerance):
@@ -218,14 +218,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_exchange(sim, threads=args.threads)
     report = ber_report(result)
     hists = {indicator: histogram(result, indicator, bins) for indicator in Indicator}
-    # the first bit of each state, LH first, drawn together
+    # the first bit of each state, LH first, drawn together; ber_report has raised
+    # unless both states are present
     traces = scatter_trace(
-        sim,
-        [
-            (state, int(np.argmax(mask)))
-            for state in (LineState.LH, LineState.HL)
-            if (mask := result.state_mask(state)).any()
-        ],
+        sim, [(state, int(np.argmax(result.state_mask(state)))) for state in LineState]
     )
 
     outdir.mkdir(parents=True, exist_ok=True)

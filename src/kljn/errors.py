@@ -18,10 +18,6 @@ class ValidationError(KljnError, ValueError):
     """A value violates a domain-type invariant or an operation precondition."""
 
 
-class DegenerateInputError(ValidationError):
-    """Statistics input lacks the structure required (e.g. only one line state)."""
-
-
 class GeneratorLayoutError(KljnError):
     """numpy does not have what the noise streams rely on.
 
@@ -78,10 +74,9 @@ def require_int(name: str, value: object, low: float = -math.inf, high: float = 
         raise ValidationError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
-def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
+def require_real(*fields: tuple[str, object]) -> None:
     """Real rule on each (name, value) pair, in order: an int or float, not a bool, finite
-    and positive (or zero, where ``allow_zero``); raise ValidationError naming the first
-    value that breaks it.
+    and positive; raise ValidationError naming the first value that breaks it.
 
     np.float64 subclasses float and passes; other numpy scalars do not. One call checks a
     whole record, not one call per field. An int beyond the range of a double is not finite.
@@ -93,9 +88,8 @@ def require_real(*fields: tuple[str, object], allow_zero: bool = False) -> None:
         ):
             raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
         # int-float comparisons are exact and never overflow; NaN and inf fail them
-        if not (0 < value <= _DOUBLE_MAX or allow_zero and value == 0):
-            sign = "non-negative" if allow_zero else "positive"
-            raise ValidationError(f"{name} must be {sign} and finite, got {_shown(value)}")
+        if not 0 < value <= _DOUBLE_MAX:
+            raise ValidationError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def require_member(name: str, value: object, kind: type) -> None:

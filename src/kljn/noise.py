@@ -59,12 +59,9 @@ class StreamSeed:
 
 
 def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
-    """Draw ``n`` independent zero-mean Gaussian samples with the given variance.
-
-    Deterministic in ``seed``; variance 0 yields exact zeros.
-    """
+    """Draw ``n`` independent zero-mean Gaussian samples of ``variance``, seeded by ``seed``."""
     require_int("sample count", n, 0)
-    require_real(("variance", variance), allow_zero=True)
+    require_real(("variance", variance))
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
-from .errors import DegenerateInputError, KljnError, ValidationError, require_int, require_member
+from .errors import KljnError, ValidationError, require_int, require_member
 from .noise import (
     GEN_HA,
     GEN_HB,
@@ -114,7 +114,7 @@ def _wire_signals(
     Returns (draws, order): row j of v_e and i_e is the window of bits[order[j]].
     The rows hold the LH bits, then the HL bits, each in their given order, so
     that each state's resistances and variances act on one run of rows as
-    scalars. Every row goes through line_signals' expressions and is
+    scalars. Every row goes through superpose, the wire equations, and is
     bit-identical to the bit simulated alone. The sources are drawn from
     ``streams`` (keyed by config.master_seed) into ``draws`` (C-contiguous,
     shape (2, bits, samples_per_bit)), which is returned holding v_e and i_e;
@@ -364,13 +364,13 @@ def estimate_ber(result: ExchangeResult, indicator: Indicator) -> BerEntry:
     (above: HL guess, at or below: LH) and counts wrong guesses over all
     bits. 50% means the indicator carries no information.
 
-    Raises DegenerateInputError unless both states are present.
+    Raises ValidationError unless both states are present.
     """
     values, hl_mask = result.indicator_values(indicator), result.hl_mask
     bits_hl = int(np.count_nonzero(hl_mask))
     bits_lh = int(values.size - bits_hl)
     if bits_lh == 0 or bits_hl == 0:
-        raise DegenerateInputError(
+        raise ValidationError(
             f"both line states must be present, got {bits_lh} LH and {bits_hl} HL bits"
         )
     threshold = float(np.median(values))
@@ -411,7 +411,7 @@ def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> H
     require_int("bin_count", bin_count, 1)
     values, hl_mask = result.indicator_values(indicator), result.hl_mask
     if values.size == 0:
-        raise DegenerateInputError("cannot histogram an empty exchange result")
+        raise ValidationError("cannot histogram an empty exchange result")
     edges = np.histogram_bin_edges(values, bin_count)
     counts_lh, _ = np.histogram(values[~hl_mask], bins=edges)
     counts_hl, _ = np.histogram(values[hl_mask], bins=edges)

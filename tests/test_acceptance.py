@@ -26,7 +26,7 @@ from kljn import (
     run_exchange,
     solve_variances,
 )
-from kljn.circuit import theoretical_moments
+from kljn.circuit import wire_moments
 from kljn.cli import main
 
 # The three benchmark resistor sets exercised by the BER gate,
@@ -106,7 +106,7 @@ def test_criterion_3_symmetric_special_case_is_exact():
         variances.v_hb_sq,
     ) == (1.0, 9.0, 1.0, 9.0)
     for state in LineState:
-        cross = theoretical_moments(state, quad, variances).cross_moment
+        _, _, cross = wire_moments(*quad.connected(state), *variances.connected(state))
         assert abs(cross) <= 1e-15, (state, cross)
     _pass(3, "variances scale exactly with resistance and both cross moments are zero")
 
@@ -140,12 +140,14 @@ def test_criterion_5_wrong_variances_are_detected():
 
 def test_criterion_6_mean_statistics_match_theory(benchmark_runs):
     config, result = benchmark_runs["asymmetric"]
-    want = theoretical_moments(LineState.LH, config.quad, config.variances)
+    current, voltage, cross = wire_moments(
+        *config.quad.connected(LineState.LH), *config.variances.connected(LineState.LH)
+    )
     deviations = []
     for indicator, target in (
-        (Indicator.VOLTAGE_VARIANCE, want.voltage_variance),
-        (Indicator.CURRENT_VARIANCE, want.current_variance),
-        (Indicator.CROSS_CORRELATION, want.cross_moment),
+        (Indicator.VOLTAGE_VARIANCE, voltage),
+        (Indicator.CURRENT_VARIANCE, current),
+        (Indicator.CROSS_CORRELATION, cross),
     ):
         values = result.indicator_values(indicator)
         standard_error = values.std(ddof=1) / math.sqrt(values.size)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kljn import LineState, NoiseVariances, ResistorQuad, ValidationError
-from kljn.circuit import line_signals, theoretical_moments
+from kljn.circuit import line_signals, superpose, theoretical_moments, wire_moments
 from kljn.errors import require_int, require_member
 
 # Python does not write out an int of over 4300 digits; the input rules show its size.
@@ -93,11 +93,27 @@ def test_the_int_and_member_rules_show_a_huge_int_by_its_size():
     assert str(excinfo.value) == "quad must be a ResistorQuad, got a list"
 
 
+def wire(state, quad, v_a, v_b):
+    """superpose's (v_e, i_e) of the sources connected in ``state``, on copies of them."""
+    v_a = np.array(v_a, dtype=np.float64)
+    v_b = np.array(v_b, dtype=np.float64)
+    return superpose(*quad.connected(state), v_a, v_b, np.empty_like(v_a))
+
+
+def moments(state, quad, variances):
+    """wire_moments of the resistances and variances connected in ``state``."""
+    return wire_moments(*quad.connected(state), *variances.connected(state))
+
+
 class TestLineSignals:
+    """The wire equations, checked on superpose, which the kernel calls; and the
+    contract of line_signals on top of it: its validation, its untouched sources
+    and its equality with superpose."""
+
     def test_lh_divider(self, small_quad):
-        out = line_signals(LineState.LH, small_quad, [1.0], [5.0])
-        assert out.i_e.tolist() == [1.0]
-        assert out.v_e.tolist() == [2.0]
+        v_e, i_e = wire(LineState.LH, small_quad, [1.0], [5.0])
+        assert i_e.tolist() == [1.0]
+        assert v_e.tolist() == [2.0]
 
     def test_sources_are_not_modified(self, small_quad):
         alice, bob = np.array([1.0, -2.0]), np.array([5.0, 0.5])
@@ -105,21 +121,30 @@ class TestLineSignals:
         assert alice.tolist() == [1.0, -2.0]
         assert bob.tolist() == [5.0, 0.5]
 
+    @pytest.mark.parametrize("state", list(LineState))
+    def test_equals_superpose(self, state, asymmetric_quad):
+        rng = np.random.default_rng(5)
+        v_a, v_b = rng.normal(0.0, 1.0, 300), rng.normal(0.0, 1.0, 300)
+        out = line_signals(state, asymmetric_quad, v_a, v_b)
+        v_e, i_e = wire(state, asymmetric_quad, v_a, v_b)
+        assert np.array_equal(out.v_e, v_e)
+        assert np.array_equal(out.i_e, i_e)
+
     def test_lh_divider_reversed_sources(self, small_quad):
-        out = line_signals(LineState.LH, small_quad, [5.0], [1.0])
-        assert out.i_e.tolist() == [-1.0]
-        assert out.v_e.tolist() == [4.0]
+        v_e, i_e = wire(LineState.LH, small_quad, [5.0], [1.0])
+        assert i_e.tolist() == [-1.0]
+        assert v_e.tolist() == [4.0]
 
     def test_hl_divider(self, small_quad):
         # loop check: v_e = v_alice + i_e*r_ha = 6 - 2 = 4 = v_bob - i_e*r_lb
-        out = line_signals(LineState.HL, small_quad, [6.0], [0.0])
-        assert out.i_e.tolist() == [-1.0]
-        assert out.v_e.tolist() == [4.0]
+        v_e, i_e = wire(LineState.HL, small_quad, [6.0], [0.0])
+        assert i_e.tolist() == [-1.0]
+        assert v_e.tolist() == [4.0]
 
     def test_zero_sources_give_zero_signals(self, small_quad):
-        out = line_signals(LineState.LH, small_quad, np.zeros(16), np.zeros(16))
-        assert not out.v_e.any()
-        assert not out.i_e.any()
+        v_e, i_e = wire(LineState.LH, small_quad, np.zeros(16), np.zeros(16))
+        assert not v_e.any()
+        assert not i_e.any()
 
     def test_length_mismatch(self, small_quad):
         with pytest.raises(ValidationError, match="^alice_source has 2 samples, bob_source has 1$"):
@@ -138,51 +163,57 @@ class TestLineSignals:
         rng = np.random.default_rng(101)
         v_a = rng.normal(0.0, 1.0, 500)
         v_b = rng.normal(0.0, 1.2, 500)
-        out = line_signals(state, asymmetric_quad, v_a, v_b)
+        v_e, i_e = wire(state, asymmetric_quad, v_a, v_b)
         r_a, r_b = asymmetric_quad.connected(state)
-        np.testing.assert_allclose(out.v_e, v_a + out.i_e * r_a, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(out.v_e, v_b - out.i_e * r_b, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(v_e, v_a + i_e * r_a, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(v_e, v_b - i_e * r_b, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("state", list(LineState))
     def test_linearity_exact_for_binary_scale(self, state, asymmetric_quad):
         rng = np.random.default_rng(7)
         v_a = rng.normal(0.0, 1.0, 200)
         v_b = rng.normal(0.0, 1.0, 200)
-        base = line_signals(state, asymmetric_quad, v_a, v_b)
+        base_v_e, base_i_e = wire(state, asymmetric_quad, v_a, v_b)
         for c in (2.0, 0.25, 1024.0):
-            scaled = line_signals(state, asymmetric_quad, c * v_a, c * v_b)
+            v_e, i_e = wire(state, asymmetric_quad, c * v_a, c * v_b)
             # powers of two scale without rounding
-            assert np.array_equal(scaled.v_e, c * base.v_e)
-            assert np.array_equal(scaled.i_e, c * base.i_e)
+            assert np.array_equal(v_e, c * base_v_e)
+            assert np.array_equal(i_e, c * base_i_e)
 
     @pytest.mark.parametrize("state", list(LineState))
     def test_linearity_for_arbitrary_scale(self, state, asymmetric_quad):
         rng = np.random.default_rng(8)
         v_a = rng.normal(0.0, 1.0, 200)
         v_b = rng.normal(0.0, 1.0, 200)
-        base = line_signals(state, asymmetric_quad, v_a, v_b)
+        base_v_e, base_i_e = wire(state, asymmetric_quad, v_a, v_b)
         c = 0.7318906
-        scaled = line_signals(state, asymmetric_quad, c * v_a, c * v_b)
+        v_e, i_e = wire(state, asymmetric_quad, c * v_a, c * v_b)
         # near-zero samples cancel, so give the relative check an absolute floor
-        np.testing.assert_allclose(scaled.v_e, c * base.v_e, rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(scaled.i_e, c * base.i_e, rtol=1e-14, atol=1e-18)
+        np.testing.assert_allclose(v_e, c * base_v_e, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(i_e, c * base_i_e, rtol=1e-14, atol=1e-18)
 
 
 class TestTheoreticalMoments:
+    """The closed forms of wire_moments, which the solver calls; and
+    theoretical_moments, wire_moments of the pair connected in a state."""
+
+    @pytest.mark.parametrize("state", list(LineState))
+    def test_is_wire_moments_of_the_connected_pair(self, state, asymmetric_quad, asymmetric_vars):
+        got = theoretical_moments(state, asymmetric_quad, asymmetric_vars)
+        assert got == moments(state, asymmetric_quad, asymmetric_vars)
+
     def test_lh_reference_values(self, asymmetric_quad, asymmetric_vars):
-        got = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
+        current, voltage, cross = moments(LineState.LH, asymmetric_quad, asymmetric_vars)
         # independent evaluation of the closed forms for this configuration
         v_la, v_hb = 1.0, 38.0 / 27.0
         d = (1000.0 + 9000.0) ** 2
-        assert got.current_variance == pytest.approx((v_la + v_hb) / d, rel=1e-14)
-        assert got.voltage_variance == pytest.approx(
-            (9000.0**2 * v_la + 1000.0**2 * v_hb) / d, rel=1e-14
-        )
-        assert got.cross_moment == pytest.approx((1000.0 * v_hb - 9000.0 * v_la) / d, rel=1e-14)
+        assert current == pytest.approx((v_la + v_hb) / d, rel=1e-14)
+        assert voltage == pytest.approx((9000.0**2 * v_la + 1000.0**2 * v_hb) / d, rel=1e-14)
+        assert cross == pytest.approx((1000.0 * v_hb - 9000.0 * v_la) / d, rel=1e-14)
         # the same numbers at display precision
-        assert got.current_variance == pytest.approx(2.4074e-8, rel=1e-4)
-        assert got.voltage_variance == pytest.approx(0.82407, rel=1e-4)
-        assert got.cross_moment == pytest.approx(-7.5926e-5, rel=1e-4)
+        assert current == pytest.approx(2.4074e-8, rel=1e-4)
+        assert voltage == pytest.approx(0.82407, rel=1e-4)
+        assert cross == pytest.approx(-7.5926e-5, rel=1e-4)
 
     def test_hl_with_rounded_rms_values_lands_near_lh(self, asymmetric_quad, asymmetric_vars):
         # plugging the 3-decimal RMS amplitudes back in reproduces the LH
@@ -190,21 +221,21 @@ class TestTheoreticalMoments:
         rounded = NoiseVariances(
             v_la_sq=1.0, v_ha_sq=2.179**2, v_lb_sq=0.816**2, v_hb_sq=1.186**2
         )
-        lh = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
-        hl = theoretical_moments(LineState.HL, asymmetric_quad, rounded)
-        assert hl.current_variance == pytest.approx(lh.current_variance, rel=2e-3)
-        assert hl.voltage_variance == pytest.approx(lh.voltage_variance, rel=2e-3)
-        assert hl.cross_moment == pytest.approx(lh.cross_moment, rel=2e-3)
+        i_lh, v_lh, c_lh = moments(LineState.LH, asymmetric_quad, asymmetric_vars)
+        i_hl, v_hl, c_hl = moments(LineState.HL, asymmetric_quad, rounded)
+        assert i_hl == pytest.approx(i_lh, rel=2e-3)
+        assert v_hl == pytest.approx(v_lh, rel=2e-3)
+        assert c_hl == pytest.approx(c_lh, rel=2e-3)
 
     def test_states_agree_exactly_when_solved(self, asymmetric_quad, asymmetric_vars):
-        lh = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
-        hl = theoretical_moments(LineState.HL, asymmetric_quad, asymmetric_vars)
-        assert hl.current_variance == pytest.approx(lh.current_variance, rel=1e-12)
-        assert hl.voltage_variance == pytest.approx(lh.voltage_variance, rel=1e-12)
-        assert hl.cross_moment == pytest.approx(lh.cross_moment, rel=1e-12)
+        i_lh, v_lh, c_lh = moments(LineState.LH, asymmetric_quad, asymmetric_vars)
+        i_hl, v_hl, c_hl = moments(LineState.HL, asymmetric_quad, asymmetric_vars)
+        assert i_hl == pytest.approx(i_lh, rel=1e-12)
+        assert v_hl == pytest.approx(v_lh, rel=1e-12)
+        assert c_hl == pytest.approx(c_lh, rel=1e-12)
 
     def test_states_disagree_for_thermal_equilibrium(self, asymmetric_quad):
         equilibrium = NoiseVariances(v_la_sq=1.0, v_ha_sq=10.0, v_lb_sq=5.0, v_hb_sq=9.0)
-        lh = theoretical_moments(LineState.LH, asymmetric_quad, equilibrium)
-        hl = theoretical_moments(LineState.HL, asymmetric_quad, equilibrium)
-        assert abs(lh.current_variance - hl.current_variance) > 0.2 * lh.current_variance
+        i_lh, _, _ = moments(LineState.LH, asymmetric_quad, equilibrium)
+        i_hl, _, _ = moments(LineState.HL, asymmetric_quad, equilibrium)
+        assert abs(i_lh - i_hl) > 0.2 * i_lh

@@ -542,6 +542,23 @@ class TestOneLineErrors:
         assert_one_line_error(run_module("run", config, str(tmp_path / outdir), *flags))
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "policy, flags, counts",
+        [
+            ("alternate", ("--bits", "1"), "1 LH and 0 HL"),
+            # both coins of seed 1 come up HL
+            ("random", ("--bits", "2", "--seed", "1"), "0 LH and 2 HL"),
+        ],
+        ids=["one-bit", "random-one-state"],
+    )
+    def test_a_run_with_one_line_state(self, tmp_path, policy, flags, counts):
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path, state_policy=policy)
+        done = run_module("run", config, str(outdir), "--threads", "1", *flags)
+        assert_one_line_error(done)
+        assert done.stderr == f"error: both line states must be present, got {counts} bits\n"
+        assert not outdir.exists()
+
     @pytest.fixture
     def no_run(self, monkeypatch):
         def run_exchange(*args, **kwargs):

@@ -12,7 +12,7 @@ from kljn import (
     johnson_variance,
     noise,
 )
-from kljn.circuit import line_signals, theoretical_moments
+from kljn.circuit import superpose, wire_moments
 from kljn.errors import GeneratorLayoutError, KljnError
 from kljn.noise import (
     GEN_HA,
@@ -59,26 +59,23 @@ class TestStreamSeed:
 
 
 class TestGaussianBlock:
+    """The stream properties the kernel relies on, checked on NormalStreams.fill,
+    which it draws through; and gaussian_block's contract: its validation and its
+    equality with a scaled row of fill."""
+
     def test_deterministic(self):
-        seed = StreamSeed(master_seed=99, stream_id=12)
-        first = gaussian_block(4096, 2.5, seed)
-        second = gaussian_block(4096, 2.5, seed)
+        first = NormalStreams(99).fill([12], np.empty((1, 4096)))
+        second = NormalStreams(99).fill([12], np.empty((1, 4096)))
         assert np.array_equal(first, second)
 
     def test_distinct_streams_differ(self):
-        a = gaussian_block(64, 1.0, StreamSeed(1, 0))
-        b = gaussian_block(64, 1.0, StreamSeed(1, 1))
-        c = gaussian_block(64, 1.0, StreamSeed(2, 0))
+        a, b = NormalStreams(1).fill([0, 1], np.empty((2, 64)))
+        c = NormalStreams(2).fill([0], np.empty((1, 64)))[0]
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_empty_block(self):
         assert gaussian_block(0, 3.0, StreamSeed(0, 0)).size == 0
-
-    def test_zero_variance_is_exactly_zero(self):
-        block = gaussian_block(1000, 0.0, StreamSeed(0, 0))
-        assert block.shape == (1000,)
-        assert not block.any()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -89,9 +86,19 @@ class TestGaussianBlock:
             gaussian_block(10, float("nan"), StreamSeed(0, 0))
         with pytest.raises(ValidationError):
             gaussian_block(3, True, StreamSeed(0, 0))
+        with pytest.raises(
+            ValidationError, match="^variance must be positive and finite, got 0.0$"
+        ):
+            gaussian_block(10, 0.0, StreamSeed(0, 0))
+
+    def test_scaled_rows_equal_gaussian_block(self):
+        rows = NormalStreams(5).fill([4, 12], np.empty((2, 1000)))
+        for row, stream_id in zip(rows, [4, 12]):
+            want = gaussian_block(1000, 2.5, StreamSeed(5, stream_id))
+            assert np.array_equal(np.sqrt(2.5) * row, want)
 
     def test_moments_at_one_million_samples(self):
-        block = gaussian_block(1_000_000, 2.0, StreamSeed(master_seed=2718, stream_id=5))
+        block = np.sqrt(2.0) * NormalStreams(2718).fill([5], np.empty((1, 1_000_000)))[0]
         # 99.99% chi-square band for the sample variance of 1e6 draws
         assert 1.98901 <= block.var(ddof=1) <= 2.01102
         # 4 sigma / sqrt(n) band for the sample mean
@@ -99,30 +106,24 @@ class TestGaussianBlock:
 
     def test_streams_are_uncorrelated(self):
         n = 100_000
-        a = gaussian_block(n, 1.0, StreamSeed(314, 8))
-        b = gaussian_block(n, 1.0, StreamSeed(314, 9))
+        a, b = NormalStreams(314).fill([8, 9], np.empty((2, n)))
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 4.0 / np.sqrt(n)
 
     def test_sample_moments_match_circuit_prediction(self, asymmetric_quad, asymmetric_vars):
         n = 100_000
-        alice = gaussian_block(n, asymmetric_vars.v_la_sq, StreamSeed(5150, 0))
-        bob = gaussian_block(n, asymmetric_vars.v_hb_sq, StreamSeed(5150, 3))
-        signals = line_signals(LineState.LH, asymmetric_quad, alice, bob)
-        want = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
+        alice, bob = NormalStreams(5150).fill([GEN_LA, GEN_HB], np.empty((2, n)))
+        s_a, s_b = asymmetric_vars.connected(LineState.LH)
+        alice *= np.sqrt(s_a)
+        bob *= np.sqrt(s_b)
+        r_a, r_b = asymmetric_quad.connected(LineState.LH)
+        v_e, i_e = superpose(r_a, r_b, alice, bob, np.empty(n))
+        current, voltage, cross = wire_moments(r_a, r_b, s_a, s_b)
         spread = np.sqrt(2.0 / n)
-        assert signals.v_e.var(ddof=1) == pytest.approx(
-            want.voltage_variance, abs=4.0 * want.voltage_variance * spread
-        )
-        assert signals.i_e.var(ddof=1) == pytest.approx(
-            want.current_variance, abs=4.0 * want.current_variance * spread
-        )
-        cross_sd = np.sqrt(
-            (want.voltage_variance * want.current_variance + want.cross_moment**2) / n
-        )
-        assert (signals.v_e * signals.i_e).mean() == pytest.approx(
-            want.cross_moment, abs=4.0 * cross_sd
-        )
+        assert v_e.var(ddof=1) == pytest.approx(voltage, abs=4.0 * voltage * spread)
+        assert i_e.var(ddof=1) == pytest.approx(current, abs=4.0 * current * spread)
+        cross_sd = np.sqrt((voltage * current + cross**2) / n)
+        assert (v_e * i_e).mean() == pytest.approx(cross, abs=4.0 * cross_sd)
 
 
 def fresh_stream(master_seed, stream_id, samples):
@@ -140,12 +141,6 @@ class TestStandardNormalStreams:
         assert rows is out
         for row, stream_id in zip(rows.reshape(6, 257), sum(ids, [])):
             assert np.array_equal(row, fresh_stream(master_seed, stream_id, 257))
-
-    def test_scaled_rows_equal_gaussian_block(self):
-        rows = NormalStreams(5).fill([4, 12], np.empty((2, 1000)))
-        for row, stream_id in zip(rows, [4, 12]):
-            want = gaussian_block(1000, 2.5, StreamSeed(5, stream_id))
-            assert np.array_equal(np.sqrt(2.5) * row, want)
 
     def test_a_stream_left_mid_buffer_is_fully_reset(self):
         # 3 and 5 samples leave Philox part-way through its 4-word output buffer

@@ -82,6 +82,43 @@ def test_the_traced_per_bit_boundaries_keep_their_measured_contract(monkeypatch)
     assert by_name["circuit.line_signals"].nbytes == 256
 
 
+# The per-bit layer the benchmark tracer still wraps, and the modules that bind
+# its names only for the tracer to replace
+PER_BIT_LAYER = {"gaussian_block", "line_signals", "LineSignals", "theoretical_moments"}
+TRACER_BINDINGS = {
+    ("simulation.py", "gaussian_block"),
+    ("simulation.py", "line_signals"),
+    ("solver.py", "theoretical_moments"),
+}
+
+
+def test_no_package_code_uses_the_per_bit_layer():
+    # so the layer can be deleted with its tracer bindings, and no run or solver path changes
+    uses = []
+    for path in sorted((ROOT / "src" / "kljn").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a layer name's own definition, and everything inside it
+        own = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in PER_BIT_LAYER
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if (path.name, a.name) not in TRACER_BINDINGS]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno} {name}" for name in names if name in PER_BIT_LAYER]
+    assert uses == []
+
+
 def error_classes():
     """Every exception class that kljn.errors defines, by name."""
     return {

@@ -26,8 +26,7 @@ from kljn import (
     run_exchange,
     scatter_trace,
 )
-from kljn.circuit import ResistorQuad, theoretical_moments
-from kljn.errors import DegenerateInputError
+from kljn.circuit import ResistorQuad, wire_moments
 from kljn.noise import MAX_BITS
 from kljn.simulation import _block_rows, assign_states
 
@@ -146,11 +145,13 @@ class TestOneBitWindow:
             master_seed=7,
         )
         result = run_exchange(config)
-        want = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
+        current, voltage, cross = wire_moments(
+            *asymmetric_quad.connected(LineState.LH), *asymmetric_vars.connected(LineState.LH)
+        )
         for indicator, target in (
-            (Indicator.VOLTAGE_VARIANCE, want.voltage_variance),
-            (Indicator.CURRENT_VARIANCE, want.current_variance),
-            (Indicator.CROSS_CORRELATION, want.cross_moment),
+            (Indicator.VOLTAGE_VARIANCE, voltage),
+            (Indicator.CURRENT_VARIANCE, current),
+            (Indicator.CROSS_CORRELATION, cross),
         ):
             values = result.indicator_values(indicator)
             standard_error = values.std(ddof=1) / np.sqrt(values.size)
@@ -405,9 +406,13 @@ class TestEstimateBer:
 
     def test_single_state_is_degenerate(self):
         bits = synthetic_bits([1.0, 2.0], [], Indicator.CURRENT_VARIANCE)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(
+            ValidationError, match="^both line states must be present, got 2 LH and 0 HL bits$"
+        ):
             estimate_ber(bits, Indicator.CURRENT_VARIANCE)
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(
+            ValidationError, match="^both line states must be present, got 0 LH and 0 HL bits$"
+        ):
             estimate_ber(ExchangeResult([], [], [], []), Indicator.CURRENT_VARIANCE)
 
     def test_indicators_are_independent_columns(self):
@@ -475,7 +480,7 @@ class TestHistogram:
             assert hist.edges.size == 14
 
     def test_empty_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValidationError, match="^cannot histogram an empty exchange result$"):
             histogram(ExchangeResult([], [], [], []), Indicator.CURRENT_VARIANCE, 4)
 
     @pytest.mark.parametrize("bins", [1, 2, 200, 10_000])
@@ -552,8 +557,10 @@ class TestScatterTrace:
             master_seed=2025,
         )
         pairs = scatter_trace(config, [(LineState.LH, 0)])[0]
-        want = theoretical_moments(LineState.LH, asymmetric_quad, asymmetric_vars)
-        rho = want.cross_moment / np.sqrt(want.voltage_variance * want.current_variance)
+        current, voltage, cross = wire_moments(
+            *asymmetric_quad.connected(LineState.LH), *asymmetric_vars.connected(LineState.LH)
+        )
+        rho = cross / np.sqrt(voltage * current)
         sample_rho = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert sample_rho < 0.0
         assert sample_rho == pytest.approx(rho, abs=4.0 / np.sqrt(1000.0))

@@ -17,7 +17,7 @@ from kljn import (
     check_security,
     solve_variances,
 )
-from kljn.circuit import theoretical_moments
+from kljn.circuit import wire_moments
 from kljn.solver import SINGULAR_RTOL
 
 RESIDUAL_NAMES = ("current_residual", "voltage_residual", "cross_residual")
@@ -292,7 +292,10 @@ class TestCheckSecurity:
         residuals = check_security(symmetric_quad, variances)
         assert residuals.within(1e-12)
         for state in LineState:
-            assert theoretical_moments(state, symmetric_quad, variances).cross_moment == 0.0
+            _, _, cross = wire_moments(
+                *symmetric_quad.connected(state), *variances.connected(state)
+            )
+            assert cross == 0.0
 
     def test_symmetric_specialization_on_random_quads(self):
         rng = np.random.default_rng(77)
@@ -305,9 +308,9 @@ class TestCheckSecurity:
             assert v.v_ha_sq / v.v_la_sq == pytest.approx(high / low, rel=1e-12)
             assert v.v_hb_sq == pytest.approx(v.v_ha_sq, rel=1e-12)
             # cross moment vanishes up to rounding of the variance ratio
-            moments = theoretical_moments(LineState.LH, quad, v)
+            _, _, cross = wire_moments(*quad.connected(LineState.LH), *v.connected(LineState.LH))
             scale = high * v.v_la_sq / (low + high) ** 2
-            assert abs(moments.cross_moment) < 1e-12 * scale
+            assert abs(cross) < 1e-12 * scale
 
     def test_item3_set_fails_at_johnson_scale_as_at_lab_scale(self):
         # voltage variance and cross moment match in both states, the current
