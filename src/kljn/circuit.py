@@ -27,7 +27,7 @@ class LineState(Enum):
     HL = "HL"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ResistorQuad:
     """The four resistances (ohms) of a generalized configuration.
 
@@ -41,14 +41,19 @@ class ResistorQuad:
     r_lb: float
     r_hb: float
 
-    def __post_init__(self) -> None:
-        require_real(
-            ("r_la", self.r_la), ("r_ha", self.r_ha), ("r_lb", self.r_lb), ("r_hb", self.r_hb)
-        )
-        if self.r_la == self.r_ha:
-            raise ValidationError(f"Alice's resistors must differ, both are {self.r_la} ohm")
-        if self.r_lb == self.r_hb:
-            raise ValidationError(f"Bob's resistors must differ, both are {self.r_lb} ohm")
+    # Written out, not generated (as in NoiseVariances): a record costs one call of the real
+    # rule and four stores, with no __post_init__ hop; screening a quad builds several.
+    def __init__(self, r_la: float, r_ha: float, r_lb: float, r_hb: float) -> None:
+        require_real(("r_la", "r_ha", "r_lb", "r_hb"), r_la, r_ha, r_lb, r_hb)
+        if r_la == r_ha:
+            raise ValidationError(f"Alice's resistors must differ, both are {r_la} ohm")
+        if r_lb == r_hb:
+            raise ValidationError(f"Bob's resistors must differ, both are {r_lb} ohm")
+        store = object.__setattr__  # the record is frozen
+        store(self, "r_la", r_la)
+        store(self, "r_ha", r_ha)
+        store(self, "r_lb", r_lb)
+        store(self, "r_hb", r_hb)
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_resistance, bob_resistance) on the wire in the given state."""
@@ -58,7 +63,7 @@ class ResistorQuad:
         return self.r_ha, self.r_lb
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NoiseVariances:
     """Variances (V**2) of the four zero-mean generator voltages.
 
@@ -70,13 +75,15 @@ class NoiseVariances:
     v_lb_sq: float
     v_hb_sq: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, v_la_sq: float, v_ha_sq: float, v_lb_sq: float, v_hb_sq: float) -> None:
         require_real(
-            ("v_la_sq", self.v_la_sq),
-            ("v_ha_sq", self.v_ha_sq),
-            ("v_lb_sq", self.v_lb_sq),
-            ("v_hb_sq", self.v_hb_sq),
+            ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"), v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq
         )
+        store = object.__setattr__  # the record is frozen
+        store(self, "v_la_sq", v_la_sq)
+        store(self, "v_ha_sq", v_ha_sq)
+        store(self, "v_lb_sq", v_lb_sq)
+        store(self, "v_hb_sq", v_hb_sq)
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_variance, bob_variance) of the sources on the wire."""

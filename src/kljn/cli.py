@@ -77,7 +77,7 @@ def _tolerance(text: str) -> float:
     """argparse type of --tolerance: a finite, positive residual bound."""
     try:
         value = float(text)
-        require_real(("tolerance", value))
+        require_real(("tolerance",), value)
     except ValueError as exc:  # from float(), or the real rule's ValidationError
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
@@ -97,7 +97,7 @@ def load_config(path: str | Path) -> FileConfig:
     quad = _real_block(raw, "resistors_ohm", ResistorQuad)
     v_la_sq = None
     if "v_la_variance_v2" in raw:
-        require_real(("v_la_variance_v2", raw["v_la_variance_v2"]))
+        require_real(("v_la_variance_v2",), raw["v_la_variance_v2"])
         v_la_sq = float(raw["v_la_variance_v2"])
     explicit = _real_block(raw, "variances_v2", NoiseVariances) if "variances_v2" in raw else None
 
@@ -123,7 +123,7 @@ def _real_block(raw: dict, key: str, record: type):
     for name in (field.name for field in fields(record)):
         if name not in block:
             raise ValidationError(f"{key} is missing {name!r}")
-        require_real((f"{key}.{name}", block[name]))
+        require_real((f"{key}.{name}",), block[name])
         values[name] = float(block[name])
     return record(**values)
 

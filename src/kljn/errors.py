@@ -74,18 +74,23 @@ def require_int(name: str, value: object, low: float = -math.inf, high: float = 
         raise ValidationError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
-def require_real(*fields: tuple[str, object]) -> None:
-    """Real rule on each (name, value) pair, in order: an int or float, not a bool, finite
-    and positive; raise ValidationError naming the first value that breaks it.
+def require_real(names: tuple[str, ...], *values: object) -> None:
+    """Real rule on each value, named by ``names`` in the same order: an int or float, not
+    a bool, finite and positive; raise ValidationError naming the first value that breaks it.
 
-    np.float64 subclasses float and passes; other numpy scalars do not. One call checks a
-    whole record, not one call per field. An int beyond the range of a double is not finite.
+    Called as ``require_real(("r_la", "r_ha"), r_la, r_ha)``: one call checks a whole record.
+    One pass decides the common case, every value an exact float in (0, sys.float_info.max],
+    and returns; any other value sends the call through the full rule. np.float64 subclasses
+    float and passes; other numpy scalars do not. An int beyond the range of a double is not
+    finite.
     """
-    for name, value in fields:
-        # an exact float, the common case, skips the two isinstance calls
-        if type(value) is not float and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
+    for value in values:
+        if type(value) is not float or not 0.0 < value <= _DOUBLE_MAX:
+            break
+    else:
+        return
+    for name, value in zip(names, values, strict=True):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
         # int-float comparisons are exact and never overflow; NaN and inf fail them
         if not 0 < value <= _DOUBLE_MAX:

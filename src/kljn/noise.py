@@ -13,6 +13,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ import numpy as np
 from .errors import GeneratorLayoutError, ValidationError, require_int, require_real
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # exact by SI definition
+# The normal doubles: a value below _NORMAL_MIN keeps too few significant bits.
+_NORMAL_MIN, _DOUBLE_MAX = sys.float_info.min, sys.float_info.max
 
 # Recorded in run metadata; reproducing a run requires this algorithm.
 GENERATOR_ALGORITHM = "philox4x64"
@@ -61,7 +64,7 @@ class StreamSeed:
 def gaussian_block(n: int, variance: float, seed: StreamSeed) -> np.ndarray:
     """Draw ``n`` independent zero-mean Gaussian samples of ``variance``, seeded by ``seed``."""
     require_int("sample count", n, 0)
-    require_real(("variance", variance))
+    require_real(("variance",), variance)
     return seed.generator().normal(0.0, math.sqrt(variance), n)
 
 
@@ -208,16 +211,45 @@ class NormalStreams:
 
 
 def johnson_variance(resistance: float, temperature: float, bandwidth: float) -> float:
-    """Band-limited thermal-noise voltage variance 4*k*T*R*B of a resistor."""
-    require_real(("resistance", resistance), ("temperature", temperature), ("bandwidth", bandwidth))
-    return 4.0 * BOLTZMANN_J_PER_K * temperature * resistance * bandwidth
+    """Band-limited thermal-noise voltage variance 4*k*T*R*B of a resistor.
+
+    Raises ValidationError when the variance is not a normal double (below
+    sys.float_info.min, or infinite).
+    """
+    require_real(("resistance", "temperature", "bandwidth"), resistance, temperature, bandwidth)
+    # The product of the mantissas, scaled back by the exponents: no step leaves the double
+    # range, and where no step of the plain product 4*k*T*R*B does, the two are equal.
+    (m_t, e_t), (m_r, e_r), (m_b, e_b) = map(math.frexp, (temperature, resistance, bandwidth))
+    try:
+        variance = math.ldexp(4.0 * BOLTZMANN_J_PER_K * m_t * m_r * m_b, e_t + e_r + e_b)
+    except OverflowError:
+        variance = math.inf
+    if not _NORMAL_MIN <= variance <= _DOUBLE_MAX:
+        raise ValidationError(
+            f"the thermal variance of {float(resistance)!r} ohm at {float(temperature)!r} K "
+            f"over {float(bandwidth)!r} Hz lies outside the range of a double"
+        )
+    return variance
 
 
 def effective_temperature(resistance: float, variance: float, bandwidth: float) -> float:
     """Temperature at which physical Johnson noise would match ``variance``.
 
     Inverse of johnson_variance; emulated generator amplitudes typically map
-    to enormous effective temperatures.
+    to enormous effective temperatures. Raises ValidationError when the
+    temperature is not a normal double.
     """
-    require_real(("resistance", resistance), ("variance", variance), ("bandwidth", bandwidth))
-    return variance / (4.0 * BOLTZMANN_J_PER_K * resistance * bandwidth)
+    require_real(("resistance", "variance", "bandwidth"), resistance, variance, bandwidth)
+    # scaled as in johnson_variance: equal to variance / (4*k*R*B) where no step of that leaves
+    # the double range
+    (m_v, e_v), (m_r, e_r), (m_b, e_b) = map(math.frexp, (variance, resistance, bandwidth))
+    try:
+        temperature = math.ldexp(m_v / (4.0 * BOLTZMANN_J_PER_K * m_r * m_b), e_v - e_r - e_b)
+    except OverflowError:
+        temperature = math.inf
+    if not _NORMAL_MIN <= temperature <= _DOUBLE_MAX:
+        raise ValidationError(
+            f"the temperature matching {float(variance)!r} V**2 on {float(resistance)!r} ohm "
+            f"over {float(bandwidth)!r} Hz lies outside the range of a double"
+        )
+    return temperature

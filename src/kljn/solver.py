@@ -57,7 +57,7 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     double (below sys.float_info.min, or infinite), as a subnormal anchor or
     resistances spanning more than about 1e150 can make it.
     """
-    require_real(("v_la_sq", v_la_sq))
+    require_real(("v_la_sq",), v_la_sq)
     # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
     # after an exact power-of-two scaling that puts the largest in [0.5, 1): no product
     # overflows. math.ldexp returns plain floats, so numpy inputs never warn.

@@ -1,3 +1,7 @@
+import dataclasses
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +68,9 @@ class TestFieldValidation:
                 (np.float32(1.0), "a real number"),
                 (-1, "positive and finite"),
                 (float("nan"), "positive and finite"),
+                (np.float64("nan"), "positive and finite"),
+                (-0.0, "positive and finite"),
+                (float("inf"), "positive and finite"),
                 (10**400, "positive and finite"),
                 (-(10**400), "positive and finite"),
                 (HUGE_INT, "positive and finite"),
@@ -78,6 +85,30 @@ class TestFieldValidation:
     def test_accepts_int_float_and_numpy_float(self, record, fields):
         made = record(1, 2.0, np.float64(3.0), 4)
         assert tuple(getattr(made, name) for name in fields) == (1, 2.0, 3.0, 4)
+
+    def test_accepts_the_ends_of_the_double_range(self, record, fields):
+        for index, name in enumerate(fields):
+            for edge in (5e-324, sys.float_info.max):
+                values = [1.0, 2.0, 3.0, 4.0]
+                values[index] = edge
+                assert getattr(record(*values), name) == edge
+
+    def test_record_contract(self, record, fields):
+        made = record(1.0, 2.0, 3.0, 4.0)
+        assert dataclasses.is_dataclass(made) and not hasattr(made, "__dict__")
+        assert dataclasses.astuple(made) == (1.0, 2.0, 3.0, 4.0)
+        a, b, c, d = fields
+        assert repr(made) == f"{record.__name__}({a}=1.0, {b}=2.0, {c}=3.0, {d}=4.0)"
+        assert made == record(**{a: 1.0, b: 2.0, c: 3.0, d: 4.0})
+        assert hash(made) == hash(record(1.0, 2.0, 3.0, 4.0))
+        assert made != record(1.0, 2.0, 3.0, 5.0)
+        assert pickle.loads(pickle.dumps(made)) == made
+        assert dataclasses.replace(made, **{d: 8.0}) == record(1.0, 2.0, 3.0, 8.0)
+        with pytest.raises(ValidationError) as excinfo:
+            dataclasses.replace(made, **{b: -1.0})
+        assert str(excinfo.value) == f"{b} must be positive and finite, got -1.0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(made, a, 5.0)
 
 
 def test_the_int_and_member_rules_show_a_huge_int_by_its_size():

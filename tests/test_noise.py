@@ -316,3 +316,27 @@ class TestJohnson:
                     johnson_variance(*args)
                 with pytest.raises(ValidationError):
                     effective_temperature(*args)
+
+    def test_the_result_must_be_a_normal_double(self):
+        # a product whose plain steps leave the range of a double, though the result does not
+        assert johnson_variance(1e300, 1e300, 1e-300) == 4.0 * BOLTZMANN_J_PER_K * 1e300
+        assert johnson_variance(1e-200, 1e-200, 1e200) == pytest.approx(
+            4.0 * BOLTZMANN_J_PER_K * 1e-200, rel=1e-15
+        )
+        assert effective_temperature(1e-300, 1e-300, 1e10) == pytest.approx(
+            1.0 / (4.0 * BOLTZMANN_J_PER_K * 1e10), rel=1e-15
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            johnson_variance(1e300, 1e300, 1e300)  # 4kTRB is about 6e877
+        assert str(excinfo.value) == (
+            "the thermal variance of 1e+300 ohm at 1e+300 K over 1e+300 Hz "
+            "lies outside the range of a double"
+        )
+        with pytest.raises(ValidationError, match="outside the range of a double"):
+            johnson_variance(1e-300, 1e-300, 1e-300)  # 4kTRB is about 6e-923
+        with pytest.raises(ValidationError) as excinfo:
+            effective_temperature(1e-300, 1.0, 1e-300)  # the temperature is about 2e622 K
+        assert str(excinfo.value) == (
+            "the temperature matching 1.0 V**2 on 1e-300 ohm over 1e-300 Hz "
+            "lies outside the range of a double"
+        )
