@@ -42,18 +42,17 @@ class ResistorQuad:
     r_hb: float
 
     # Written out, not generated (as in NoiseVariances): a record costs one call of the real
-    # rule and four stores, with no __post_init__ hop; screening a quad builds several.
+    # rule and four slot stores, with no __post_init__ hop; screening a quad builds several.
     def __init__(self, r_la: float, r_ha: float, r_lb: float, r_hb: float) -> None:
         require_real(("r_la", "r_ha", "r_lb", "r_hb"), r_la, r_ha, r_lb, r_hb)
         if r_la == r_ha:
             raise ValidationError(f"Alice's resistors must differ, both are {r_la} ohm")
         if r_lb == r_hb:
             raise ValidationError(f"Bob's resistors must differ, both are {r_lb} ohm")
-        store = object.__setattr__  # the record is frozen
-        store(self, "r_la", r_la)
-        store(self, "r_ha", r_ha)
-        store(self, "r_lb", r_lb)
-        store(self, "r_hb", r_hb)
+        _store_r_la(self, r_la)
+        _store_r_ha(self, r_ha)
+        _store_r_lb(self, r_lb)
+        _store_r_hb(self, r_hb)
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_resistance, bob_resistance) on the wire in the given state."""
@@ -79,11 +78,10 @@ class NoiseVariances:
         require_real(
             ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"), v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq
         )
-        store = object.__setattr__  # the record is frozen
-        store(self, "v_la_sq", v_la_sq)
-        store(self, "v_ha_sq", v_ha_sq)
-        store(self, "v_lb_sq", v_lb_sq)
-        store(self, "v_hb_sq", v_hb_sq)
+        _store_v_la_sq(self, v_la_sq)
+        _store_v_ha_sq(self, v_ha_sq)
+        _store_v_lb_sq(self, v_lb_sq)
+        _store_v_hb_sq(self, v_hb_sq)
 
     def connected(self, state: LineState) -> tuple[float, float]:
         """(alice_variance, bob_variance) of the sources on the wire."""
@@ -91,6 +89,15 @@ class NoiseVariances:
         if state is LineState.LH:
             return self.v_la_sq, self.v_hb_sq
         return self.v_ha_sq, self.v_lb_sq
+
+
+# The records are frozen, so __init__ stores each field through its slot descriptor's
+# __set__, which bypasses the frozen __setattr__ as object.__setattr__ does, without its
+# name lookup.
+_store_r_la, _store_r_ha = ResistorQuad.r_la.__set__, ResistorQuad.r_ha.__set__
+_store_r_lb, _store_r_hb = ResistorQuad.r_lb.__set__, ResistorQuad.r_hb.__set__
+_store_v_la_sq, _store_v_ha_sq = NoiseVariances.v_la_sq.__set__, NoiseVariances.v_ha_sq.__set__
+_store_v_lb_sq, _store_v_hb_sq = NoiseVariances.v_lb_sq.__set__, NoiseVariances.v_hb_sq.__set__
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,7 +55,9 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     strictly positive: when Alice's and Bob's pairs are ordered differently; and
     ValidationError when a feasible variance, the anchor included, is not a normal
     double (below sys.float_info.min, or infinite), as a subnormal anchor or
-    resistances spanning more than about 1e150 can make it.
+    resistances spanning more than about 1e150 can make it. v_hb is computed first,
+    and an infeasible set is rejected on its sign before the other variances are
+    computed.
     """
     require_real(("v_la_sq",), v_la_sq)
     # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
@@ -72,24 +74,27 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
             f"Alice's resistances {float(quad.r_la)!r} and {float(quad.r_ha)!r} ohm differ by less "
             f"than {SINGULAR_RTOL:g} of the larger; the resistor set is too close to degenerate"
         )
+    # Both pairs differ, so each exact variance is non-zero and finite, and its sign is
+    # exact even where the value under- or overflowed: -0 and -inf are infeasible. v_hb
+    # and v_lb share a sign and v_ha is positive, so v_hb's sign alone decides
+    # feasibility, before any range error and before v_ha and v_lb are computed. A zero
+    # denominator is a ratio beyond the double range: every variance is taken as +inf,
+    # which makes the set a range error even when v_hb is negative.
+    la_lb, la_hb = r_la + r_lb, r_la + r_hb
     try:
-        v_hb_sq = v_la_sq * ((bob * (r_ha + r_hb)) / (alice * (r_la + r_lb)))
-        v_ha_sq = v_la_sq * (((r_ha + r_lb) * (r_ha + r_hb)) / ((r_la + r_lb) * (r_la + r_hb)))
-        v_lb_sq = v_la_sq * ((bob * (r_lb + r_ha)) / (alice * (r_la + r_hb)))
-    except ZeroDivisionError:  # a denominator underflowed: a ratio beyond the double range
+        v_hb_sq = v_la_sq * ((bob * (r_ha + r_hb)) / (alice * la_lb))
+        if math.copysign(1.0, v_hb_sq) < 0 and la_lb * la_hb and alice * la_hb:
+            raise InfeasibleConfigError("v_hb_sq", v_hb_sq)
+        v_ha_sq = v_la_sq * (((r_ha + r_lb) * (r_ha + r_hb)) / (la_lb * la_hb))
+        v_lb_sq = v_la_sq * ((bob * (r_lb + r_ha)) / (alice * la_hb))
+    except ZeroDivisionError:
         v_hb_sq = v_ha_sq = v_lb_sq = math.inf
-    # Both pairs differ, so each exact variance is non-zero and finite, and its sign,
-    # which alone decides feasibility, is exact even where the value under- or
-    # overflowed: -0 and -inf are infeasible. A positive variance that is not a normal
-    # double (+0, subnormal or +inf) has lost its significant bits or its size. v_hb
-    # and v_lb share a sign and the others are positive, so v_hb's sign alone decides
-    # feasibility, before any range error.
+    # A positive variance that is not a normal double (+0, subnormal or +inf) has lost
+    # its significant bits or its size.
     if not (
         _NORMAL_MIN <= v_hb_sq <= _DOUBLE_MAX and _NORMAL_MIN <= v_ha_sq <= _DOUBLE_MAX
         and _NORMAL_MIN <= v_lb_sq <= _DOUBLE_MAX and _NORMAL_MIN <= v_la_sq <= _DOUBLE_MAX
     ):
-        if math.copysign(1.0, v_hb_sq) < 0:
-            raise InfeasibleConfigError("v_hb_sq", v_hb_sq)
         raise ValidationError(
             f"the variances securing the resistances {float(quad.r_la)!r}, "
             f"{float(quad.r_ha)!r}, {float(quad.r_lb)!r} and {float(quad.r_hb)!r} ohm "
@@ -116,9 +121,10 @@ def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityRes
     correlation_scale = i_max * v_max
     if not 0.0 < correlation_scale < math.inf:
         raise ValidationError(f"wire moments {i_max:.3e} A**2, {v_max:.3e} V**2 out of range")
-    return SecurityResiduals(
+    # tuple.__new__ skips the NamedTuple's generated Python-level __new__: the same record
+    return tuple.__new__(SecurityResiduals, (
         float(abs(i_lh - i_hl) / i_max),
         float(abs(v_lh - v_hl) / v_max),
         float(abs(c_lh - c_hl) / math.sqrt(correlation_scale)),
-    )
+    ))
 

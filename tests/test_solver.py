@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from kljn import (
     solve_variances,
 )
 from kljn.circuit import wire_moments
-from kljn.solver import SINGULAR_RTOL
+from kljn.solver import SINGULAR_RTOL, SecurityResiduals
 
 RESIDUAL_NAMES = ("current_residual", "voltage_residual", "cross_residual")
 
@@ -255,6 +256,27 @@ class TestVariancesOutsideTheDoubleRange:
         assert excinfo.value.variance_name == "v_hb_sq"
         assert math.copysign(1.0, excinfo.value.value) == -1.0
 
+    def test_an_infeasible_set_whose_v_ha_overflows_is_infeasible(self):
+        # v_ha is about 1.2e307 times the anchor and overflows to inf; v_hb is about -0.33
+        # times it, and its value is the one carried
+        quad = ResistorQuad(1e-153, 1.0, 2e-153, 1e-153)
+        with pytest.raises(InfeasibleConfigError) as excinfo:
+            solve_variances(quad, 1e10)
+        assert excinfo.value.variance_name == "v_hb_sq"
+        assert excinfo.value.value == pytest.approx(-1e10 / 3, rel=1e-12)
+
+    def test_an_infeasible_set_with_a_zero_denominator_is_a_range_error(self):
+        # Alice's pair and Bob's are ordered differently, so v_hb is negative, but one
+        # denominator, a product of two gaps or sums near 1e-170, underflows to 0: v_hb's,
+        # v_ha's and v_lb's in turn. The ratio then lies beyond the double range.
+        for resistors in (
+            (2e-170, 1e-170, 1e-170, 1.0),
+            (1e-170, 1.0, 2e-170, 1e-170),
+            (1e-170, 2e-170, 1.0, 1e-170),
+        ):
+            with pytest.raises(ValidationError, match="outside the range of a double"):
+                solve_variances(ResistorQuad(*resistors), 1.0)
+
     def test_subnormal_resistances_solve(self):
         # the largest is scaled into [0.5, 1) by itself, so no scale factor overflows
         unit = solve_variances(ResistorQuad(1.0, 2.0, 3.0, 4.0), 1.0)
@@ -344,6 +366,14 @@ class TestCheckSecurity:
         assert residuals == check_security(
             asymmetric_quad, NoiseVariances(1.0, 10.0, 5.0, 9.0)
         )
+        # the NamedTuple itself, built by value as by its own constructor
+        assert type(residuals) is SecurityResiduals
+        assert list(residuals._asdict()) == list(RESIDUAL_NAMES)
+        assert residuals == SecurityResiduals(*residuals)
+        assert pickle.loads(pickle.dumps(residuals)) == residuals
+        assert residuals.worst == max(residuals) > 0.0
+        assert residuals.within(math.nextafter(residuals.worst, math.inf))
+        assert not residuals.within(residuals.worst)
 
     @pytest.mark.parametrize("scale", [1e-320, 1e300])
     def test_moments_outside_double_range_are_rejected(self, asymmetric_quad, scale):
