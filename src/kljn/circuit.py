@@ -29,7 +29,7 @@ class LineState(Enum):
 
 @dataclass(frozen=True, slots=True, init=False)
 class ResistorQuad:
-    """The four resistances (ohms) of a generalized configuration.
+    """The four resistances (ohms, as plain floats) of a generalized configuration.
 
     Alice owns (r_la, r_ha), Bob owns (r_lb, r_hb). Each party's two values
     must differ; equal values would make that party's switch positions
@@ -44,7 +44,9 @@ class ResistorQuad:
     # Written out, not generated (as in NoiseVariances): a record costs one call of the real
     # rule and four slot stores, with no __post_init__ hop; screening a quad builds several.
     def __init__(self, r_la: float, r_ha: float, r_lb: float, r_hb: float) -> None:
-        require_real(("r_la", "r_ha", "r_lb", "r_hb"), r_la, r_ha, r_lb, r_hb)
+        r_la, r_ha, r_lb, r_hb = require_real(
+            ("r_la", "r_ha", "r_lb", "r_hb"), r_la, r_ha, r_lb, r_hb
+        )
         if r_la == r_ha:
             raise ValidationError(f"Alice's resistors must differ, both are {r_la} ohm")
         if r_lb == r_hb:
@@ -64,7 +66,7 @@ class ResistorQuad:
 
 @dataclass(frozen=True, slots=True, init=False)
 class NoiseVariances:
-    """Variances (V**2) of the four zero-mean generator voltages.
+    """Variances (V**2, as plain floats) of the four zero-mean generator voltages.
 
     All strictly positive: a zero-noise generator degenerates the protocol.
     """
@@ -75,7 +77,7 @@ class NoiseVariances:
     v_hb_sq: float
 
     def __init__(self, v_la_sq: float, v_ha_sq: float, v_lb_sq: float, v_hb_sq: float) -> None:
-        require_real(
+        v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq = require_real(
             ("v_la_sq", "v_ha_sq", "v_lb_sq", "v_hb_sq"), v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq
         )
         _store_v_la_sq(self, v_la_sq)

@@ -76,8 +76,7 @@ class FileConfig:
 def _tolerance(text: str) -> float:
     """argparse type of --tolerance: a finite, positive residual bound."""
     try:
-        value = float(text)
-        require_real(("tolerance",), value)
+        (value,) = require_real(("tolerance",), float(text))
     except ValueError as exc:  # from float(), or the real rule's ValidationError
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
@@ -97,8 +96,7 @@ def load_config(path: str | Path) -> FileConfig:
     quad = _real_block(raw, "resistors_ohm", ResistorQuad)
     v_la_sq = None
     if "v_la_variance_v2" in raw:
-        require_real(("v_la_variance_v2",), raw["v_la_variance_v2"])
-        v_la_sq = float(raw["v_la_variance_v2"])
+        (v_la_sq,) = require_real(("v_la_variance_v2",), raw["v_la_variance_v2"])
     explicit = _real_block(raw, "variances_v2", NoiseVariances) if "variances_v2" in raw else None
 
     policy_name = raw.get("state_policy", _DEFAULTS["state_policy"].value)
@@ -123,8 +121,7 @@ def _real_block(raw: dict, key: str, record: type):
     for name in (field.name for field in fields(record)):
         if name not in block:
             raise ValidationError(f"{key} is missing {name!r}")
-        require_real((f"{key}.{name}",), block[name])
-        values[name] = float(block[name])
+        (values[name],) = require_real((f"{key}.{name}",), block[name])
     return record(**values)
 
 
@@ -327,10 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (KljnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
-        # e.g. a resistance whose square overflows or underflows the float range
-        print(f"error: result out of floating-point range: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # e.g. a bit count whose per-bit columns cannot be allocated

@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 import sys
 
-_DOUBLE_MAX = sys.float_info.max
+# The normal doubles: a value below _NORMAL_MIN keeps too few significant bits.
+_NORMAL_MIN, _DOUBLE_MAX = sys.float_info.min, sys.float_info.max
 
 
 class KljnError(Exception):
@@ -74,27 +75,29 @@ def require_int(name: str, value: object, low: float = -math.inf, high: float = 
         raise ValidationError(f"{name} must be an integer{bounds}, got {_shown(value)}")
 
 
-def require_real(names: tuple[str, ...], *values: object) -> None:
+def require_real(names: tuple[str, ...], *values: object) -> tuple[float, ...]:
     """Real rule on each value, named by ``names`` in the same order: an int or float, not
     a bool, finite and positive; raise ValidationError naming the first value that breaks it.
+    Return the values as plain floats, in the same order.
 
-    Called as ``require_real(("r_la", "r_ha"), r_la, r_ha)``: one call checks a whole record.
-    One pass decides the common case, every value an exact float in (0, sys.float_info.max],
-    and returns; any other value sends the call through the full rule. np.float64 subclasses
-    float and passes; other numpy scalars do not. An int beyond the range of a double is not
-    finite.
+    Called as ``r_la, r_ha = require_real(("r_la", "r_ha"), r_la, r_ha)``: one call checks and
+    converts a whole record. One pass decides the common case, every value an exact float in
+    (0, sys.float_info.max], and returns the values as given; any other value sends the call
+    through the full rule, which converts each value with float(). np.float64 subclasses float
+    and passes; other numpy scalars do not. An int beyond the range of a double is not finite.
     """
     for value in values:
         if type(value) is not float or not 0.0 < value <= _DOUBLE_MAX:
             break
     else:
-        return
+        return values
     for name, value in zip(names, values, strict=True):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
         # int-float comparisons are exact and never overflow; NaN and inf fail them
         if not 0 < value <= _DOUBLE_MAX:
             raise ValidationError(f"{name} must be positive and finite, got {_shown(value)}")
+    return tuple(map(float, values))
 
 
 def require_member(name: str, value: object, kind: type) -> None:

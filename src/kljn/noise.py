@@ -13,16 +13,14 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _DOUBLE_MAX, _NORMAL_MIN
 from .errors import GeneratorLayoutError, ValidationError, require_int, require_real
 
 BOLTZMANN_J_PER_K = 1.380649e-23  # exact by SI definition
-# The normal doubles: a value below _NORMAL_MIN keeps too few significant bits.
-_NORMAL_MIN, _DOUBLE_MAX = sys.float_info.min, sys.float_info.max
 
 # Recorded in run metadata; reproducing a run requires this algorithm.
 GENERATOR_ALGORITHM = "philox4x64"
@@ -216,7 +214,9 @@ def johnson_variance(resistance: float, temperature: float, bandwidth: float) ->
     Raises ValidationError when the variance is not a normal double (below
     sys.float_info.min, or infinite).
     """
-    require_real(("resistance", "temperature", "bandwidth"), resistance, temperature, bandwidth)
+    resistance, temperature, bandwidth = require_real(
+        ("resistance", "temperature", "bandwidth"), resistance, temperature, bandwidth
+    )
     # The product of the mantissas, scaled back by the exponents: no step leaves the double
     # range, and where no step of the plain product 4*k*T*R*B does, the two are equal.
     (m_t, e_t), (m_r, e_r), (m_b, e_b) = map(math.frexp, (temperature, resistance, bandwidth))
@@ -226,8 +226,8 @@ def johnson_variance(resistance: float, temperature: float, bandwidth: float) ->
         variance = math.inf
     if not _NORMAL_MIN <= variance <= _DOUBLE_MAX:
         raise ValidationError(
-            f"the thermal variance of {float(resistance)!r} ohm at {float(temperature)!r} K "
-            f"over {float(bandwidth)!r} Hz lies outside the range of a double"
+            f"the thermal variance of {resistance!r} ohm at {temperature!r} K "
+            f"over {bandwidth!r} Hz lies outside the range of a double"
         )
     return variance
 
@@ -239,7 +239,9 @@ def effective_temperature(resistance: float, variance: float, bandwidth: float) 
     to enormous effective temperatures. Raises ValidationError when the
     temperature is not a normal double.
     """
-    require_real(("resistance", "variance", "bandwidth"), resistance, variance, bandwidth)
+    resistance, variance, bandwidth = require_real(
+        ("resistance", "variance", "bandwidth"), resistance, variance, bandwidth
+    )
     # scaled as in johnson_variance: equal to variance / (4*k*R*B) where no step of that leaves
     # the double range
     (m_v, e_v), (m_r, e_r), (m_b, e_b) = map(math.frexp, (variance, resistance, bandwidth))
@@ -249,7 +251,7 @@ def effective_temperature(resistance: float, variance: float, bandwidth: float) 
         temperature = math.inf
     if not _NORMAL_MIN <= temperature <= _DOUBLE_MAX:
         raise ValidationError(
-            f"the temperature matching {float(variance)!r} V**2 on {float(resistance)!r} ohm "
-            f"over {float(bandwidth)!r} Hz lies outside the range of a double"
+            f"the temperature matching {variance!r} V**2 on {resistance!r} ohm "
+            f"over {bandwidth!r} Hz lies outside the range of a double"
         )
     return temperature

@@ -10,18 +10,16 @@ and checks the conditions for arbitrary variance sets.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 # benchmarks/spans.py traces kljn.solver.theoretical_moments, so the name stays bound here.
 from .circuit import NoiseVariances, ResistorQuad, theoretical_moments, wire_moments  # noqa: F401
+from .errors import _DOUBLE_MAX, _NORMAL_MIN
 from .errors import InfeasibleConfigError, SingularDenominatorError, ValidationError, require_real
 
 # Alice's two resistances closer than SINGULAR_RTOL of the larger are treated as
 # equal: the v_hb and v_lb denominators carry their difference as a factor.
 SINGULAR_RTOL = 1e-15
-# The normal doubles: a variance below _NORMAL_MIN keeps too few significant bits.
-_NORMAL_MIN, _DOUBLE_MAX = sys.float_info.min, sys.float_info.max
 
 
 class SecurityResiduals(NamedTuple):
@@ -59,11 +57,9 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     and an infeasible set is rejected on its sign before the other variances are
     computed.
     """
-    require_real(("v_la_sq",), v_la_sq)
-    # The forms are homogeneous of degree 0 in the resistances, so they are evaluated
-    # after an exact power-of-two scaling that puts the largest in [0.5, 1): no product
-    # overflows. math.ldexp returns plain floats, so numpy inputs never warn.
-    v_la_sq = float(v_la_sq)
+    (v_la_sq,) = require_real(("v_la_sq",), v_la_sq)
+    # The forms are homogeneous of degree 0 in the resistances, so they are evaluated after
+    # an exact power-of-two scaling that puts the largest in [0.5, 1): no product overflows.
     exponent = -math.frexp(max(quad.r_la, quad.r_ha, quad.r_lb, quad.r_hb))[1]
     r_la, r_ha = math.ldexp(quad.r_la, exponent), math.ldexp(quad.r_ha, exponent)
     r_lb, r_hb = math.ldexp(quad.r_lb, exponent), math.ldexp(quad.r_hb, exponent)
@@ -71,7 +67,7 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
     alice, bob = r_la - r_ha, r_lb - r_hb
     if abs(alice) < SINGULAR_RTOL * (r_la if r_la > r_ha else r_ha):
         raise SingularDenominatorError(
-            f"Alice's resistances {float(quad.r_la)!r} and {float(quad.r_ha)!r} ohm differ by less "
+            f"Alice's resistances {quad.r_la!r} and {quad.r_ha!r} ohm differ by less "
             f"than {SINGULAR_RTOL:g} of the larger; the resistor set is too close to degenerate"
         )
     # Both pairs differ, so each exact variance is non-zero and finite, and its sign is
@@ -96,9 +92,9 @@ def solve_variances(quad: ResistorQuad, v_la_sq: float) -> NoiseVariances:
         and _NORMAL_MIN <= v_lb_sq <= _DOUBLE_MAX and _NORMAL_MIN <= v_la_sq <= _DOUBLE_MAX
     ):
         raise ValidationError(
-            f"the variances securing the resistances {float(quad.r_la)!r}, "
-            f"{float(quad.r_ha)!r}, {float(quad.r_lb)!r} and {float(quad.r_hb)!r} ohm "
-            f"at v_la_sq = {v_la_sq!r} V**2 lie outside the range of a double"
+            f"the variances securing the resistances {quad.r_la!r}, {quad.r_ha!r}, "
+            f"{quad.r_lb!r} and {quad.r_hb!r} ohm at v_la_sq = {v_la_sq!r} V**2 "
+            "lie outside the range of a double"
         )
     return NoiseVariances(v_la_sq, v_ha_sq, v_lb_sq, v_hb_sq)
 
@@ -109,22 +105,22 @@ def check_security(quad: ResistorQuad, variances: NoiseVariances) -> SecurityRes
     Evaluates the three observables in both states and returns their
     scale-free differences. A configuration is secure when all residuals fall
     below the caller's tolerance; see SecurityResiduals.within. Raises
-    ValidationError when the moments leave the range of a double. Before that
-    check, resistances above about 1e154 ohm make (r_a + r_b) ** 2 raise
-    OverflowError, and below about 1e-162 ohm it underflows to 0 and the
-    moments raise ZeroDivisionError.
+    ValidationError when the moments leave the range of a double: at 1 V**2,
+    for resistances above about 1e154 ohm or below about 1e-154 ohm.
     """
-    i_lh, v_lh, c_lh = wire_moments(quad.r_la, quad.r_hb, variances.v_la_sq, variances.v_hb_sq)
-    i_hl, v_hl, c_hl = wire_moments(quad.r_ha, quad.r_lb, variances.v_ha_sq, variances.v_lb_sq)
-    i_max = i_lh if i_lh > i_hl else i_hl
-    v_max = v_lh if v_lh > v_hl else v_hl
-    correlation_scale = i_max * v_max
+    try:
+        i_lh, v_lh, c_lh = wire_moments(quad.r_la, quad.r_hb, variances.v_la_sq, variances.v_hb_sq)
+        i_hl, v_hl, c_hl = wire_moments(quad.r_ha, quad.r_lb, variances.v_ha_sq, variances.v_lb_sq)
+        i_max = i_lh if i_lh > i_hl else i_hl
+        v_max = v_lh if v_lh > v_hl else v_hl
+        correlation_scale = i_max * v_max
+    except ArithmeticError:  # (r_a + r_b) ** 2 overflowed, or underflowed to 0 and divided
+        correlation_scale = math.inf
     if not 0.0 < correlation_scale < math.inf:
-        raise ValidationError(f"wire moments {i_max:.3e} A**2, {v_max:.3e} V**2 out of range")
+        raise ValidationError(f"wire moments of {quad} and {variances} out of range")
     # tuple.__new__ skips the NamedTuple's generated Python-level __new__: the same record
     return tuple.__new__(SecurityResiduals, (
-        float(abs(i_lh - i_hl) / i_max),
-        float(abs(v_lh - v_hl) / v_max),
-        float(abs(c_lh - c_hl) / math.sqrt(correlation_scale)),
+        abs(i_lh - i_hl) / i_max,
+        abs(v_lh - v_hl) / v_max,
+        abs(c_lh - c_hl) / math.sqrt(correlation_scale),
     ))
-

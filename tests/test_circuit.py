@@ -31,6 +31,9 @@ class TestResistorQuad:
             ResistorQuad(r_la=5.0, r_ha=5.0, r_lb=1.0, r_hb=2.0)
         with pytest.raises(ValidationError):
             ResistorQuad(r_la=1.0, r_ha=2.0, r_lb=5.0, r_hb=5.0)
+        # the pair is compared as stored, as floats: these two ints round to one double
+        with pytest.raises(ValidationError, match="Alice's resistors must differ"):
+            ResistorQuad(r_la=2**53, r_ha=2**53 + 1, r_lb=1, r_hb=2)
 
     def test_cross_party_equality_is_allowed(self):
         ResistorQuad(r_la=1.0, r_ha=2.0, r_lb=1.0, r_hb=2.0)
@@ -85,6 +88,7 @@ class TestFieldValidation:
     def test_accepts_int_float_and_numpy_float(self, record, fields):
         made = record(1, 2.0, np.float64(3.0), 4)
         assert tuple(getattr(made, name) for name in fields) == (1, 2.0, 3.0, 4)
+        assert all(type(getattr(made, name)) is float for name in fields)
 
     def test_accepts_the_ends_of_the_double_range(self, record, fields):
         for index, name in enumerate(fields):

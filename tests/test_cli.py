@@ -460,7 +460,9 @@ class TestOverflowingResistances:
     def test_one_line_error_and_exit_1(self, tmp_path, command):
         for resistors in (self.HUGE, self.TINY):
             path = write_config(tmp_path, resistors_ohm=resistors, variances_v2=self.VARIANCES)
-            assert_one_line_error(run_module(command[0], path, *command[1:]))
+            done = run_module(command[0], path, *command[1:])
+            assert_one_line_error(done)
+            assert "out of range" in done.stderr and "floating-point" not in done.stderr
 
     @pytest.mark.parametrize(
         "resistors",

@@ -375,10 +375,27 @@ class TestCheckSecurity:
         assert residuals.within(math.nextafter(residuals.worst, math.inf))
         assert not residuals.within(residuals.worst)
 
-    @pytest.mark.parametrize("scale", [1e-320, 1e300])
-    def test_moments_outside_double_range_are_rejected(self, asymmetric_quad, scale):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("resistances", "variances", "real"),
+        [
+            ((1000, 10_000, 5000, 9000), [1e-320 * v for v in (1, 2, 3, 4)], float),
+            ((1000, 10_000, 5000, 9000), [1e300 * v for v in (1, 2, 3, 4)], float),
+            # (r_a + r_b) ** 2 overflows at 1e200 ohm and underflows to 0 at 1e-200 ohm
+            *(
+                ([s * r for r in (1, 2, 3, 4)], (1, 2, 3, 4), real)
+                for s in (1e200, 1e-200)
+                for real in (float, np.float64)
+            ),
+        ],
+        ids=[
+            "1e-320", "1e+300", "1e+200-float", "1e+200-float64", "1e-200-float", "1e-200-float64"
+        ],
+    )
+    def test_moments_outside_double_range_are_rejected(self, resistances, variances, real):
+        quad = ResistorQuad(*map(real, resistances))
         with pytest.raises(ValidationError, match="out of range"):
-            check_security(asymmetric_quad, NoiseVariances(*(scale * v for v in (1, 2, 3, 4))))
+            check_security(quad, NoiseVariances(*map(real, variances)))
 
 
 PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
