@@ -33,6 +33,7 @@ from .errors import (
 )
 from .noise import GENERATOR_ALGORITHM
 from .simulation import (
+    MAX_BIN_COUNT,
     Indicator,
     SimConfig,
     StatePolicy,
@@ -193,7 +194,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for key, flag in _INT_KEYS
     }
     bins = ints["histogram_bins"]
-    require_int("histogram bin count", bins, 1)
+    require_int("histogram bin count", bins, 1, MAX_BIN_COUNT)
     sim = SimConfig(
         config.quad,
         config.explicit_variances
@@ -329,7 +330,3 @@ def main(argv: list[str] | None = None) -> int:
         # e.g. a bit count whose per-bit columns cannot be allocated
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

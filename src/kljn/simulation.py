@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,6 +53,11 @@ _BLOCK_BITS = 512
 # Values per message a child sends (64 KiB of float64): the receiving end reads a
 # whole message into a buffer of its own before it copies it into the columns.
 _PIECE = 8192
+# The largest buffer a run allocates for its windows is scatter_trace's
+# (2, 2, samples_per_bit) float64 draws, 32 bytes a sample: within this bound
+# every buffer has a byte count numpy can represent, so an oversized window
+# fails with MemoryError.
+MAX_SAMPLES_PER_BIT = sys.maxsize // 32
 
 
 # Generator slots of the connected (alice, bob) sources in each state, as columns
@@ -76,7 +82,8 @@ class Indicator(Enum):
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
-    """Full description of one exchange experiment, of at most MAX_BITS (2**61) bits."""
+    """Full description of one exchange experiment, of at most MAX_BITS (2**61) bits
+    and MAX_SAMPLES_PER_BIT samples per bit."""
 
     quad: ResistorQuad
     variances: NoiseVariances
@@ -86,7 +93,7 @@ class SimConfig:
     state_policy: StatePolicy = StatePolicy.ALTERNATE
 
     def __post_init__(self) -> None:
-        require_int("samples_per_bit", self.samples_per_bit, 2)
+        require_int("samples_per_bit", self.samples_per_bit, 2, MAX_SAMPLES_PER_BIT)
         require_int("num_bits", self.num_bits, 1, MAX_BITS)
         require_int("master_seed", self.master_seed, 0, UINT64_MAX)
         require_member("quad", self.quad, ResistorQuad)
@@ -392,6 +399,13 @@ def ber_report(result: ExchangeResult) -> tuple[BerEntry, ...]:
     return tuple(estimate_ber(result, indicator) for indicator in Indicator)
 
 
+# np.linspace counts the bin_count + 1 float64 edges as a float, which rounds
+# sys.maxsize // 8 edges up to 2**60, a byte count numpy cannot represent; within
+# half that bound every histogram buffer has one it can, so an oversized bin count
+# fails with MemoryError.
+MAX_BIN_COUNT = sys.maxsize // 16
+
+
 @dataclass(frozen=True, slots=True)
 class HistogramData:
     """Per-state counts over shared uniform bin edges."""
@@ -408,7 +422,7 @@ def histogram(result: ExchangeResult, indicator: Indicator, bin_count: int) -> H
     so the two states' distributions are directly comparable bin by bin. Every
     bit lands in exactly one bin.
     """
-    require_int("bin_count", bin_count, 1)
+    require_int("bin_count", bin_count, 1, MAX_BIN_COUNT)
     values, hl_mask = result.indicator_values(indicator), result.hl_mask
     if values.size == 0:
         raise ValidationError("cannot histogram an empty exchange result")

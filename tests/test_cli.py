@@ -14,6 +14,7 @@ import pytest
 
 import kljn
 from kljn.cli import build_parser, main
+from kljn.simulation import MAX_BIN_COUNT, MAX_SAMPLES_PER_BIT
 
 ASYMMETRIC = {"r_la": 1000.0, "r_ha": 10_000.0, "r_lb": 5000.0, "r_hb": 9000.0}
 SYMMETRIC = {"r_la": 1000.0, "r_ha": 9000.0, "r_lb": 1000.0, "r_hb": 9000.0}
@@ -500,6 +501,24 @@ class TestOneLineErrors:
         path.write_bytes(b"\xff\xfe{}")
         assert_one_line_error(run_module("solve", str(path)))
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([ASYMMETRIC], "{path} must hold a JSON object"),
+            ({"v_la_variance_v2": 1.0}, "config needs a 'resistors_ohm' object"),
+            (
+                {"resistors_ohm": ASYMMETRIC, "v_la_variance_v2": 1.0, "state_policy": ["random"]},
+                "state_policy must be one of alternate, random, got ['random']",
+            ),
+        ],
+        ids=["not-an-object", "no-resistors", "policy-in-a-list"],
+    )
+    def test_config_error_line(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
     @pytest.mark.parametrize("command", ["solve", "check", "run"])
     def test_config_nested_too_deeply(self, tmp_path, command):
         path = tmp_path / "deep.json"
@@ -528,6 +547,9 @@ class TestOneLineErrors:
         [
             # the largest accepted count: numpy fails at once to map its 2 EiB state mask
             ("out", ("--bits", str(2**61), "--threads", "1")),
+            # beyond a window numpy can size, and the largest window, which it cannot allocate
+            ("out", ("--samples", str(10**20), "--bits", "4", "--threads", "1")),
+            ("out", ("--samples", str(MAX_SAMPLES_PER_BIT), "--bits", "4", "--threads", "1")),
             ("out", ("--threads", "-1")),
             ("new/a/b", ("--threads", "-1")),
             # a directory that was there before the run stays, and stays empty
@@ -535,7 +557,15 @@ class TestOneLineErrors:
             # mkdir makes `new`, then fails on the name: `new` goes too
             ("new/" + "x" * 300, ("--threads", "1")),
         ],
-        ids=["bits-2**61", "threads-negative", "nested", "existing-empty", "name-too-long"],
+        ids=[
+            "bits-2**61",
+            "samples-10**20",
+            "samples-at-bound",
+            "threads-negative",
+            "nested",
+            "existing-empty",
+            "name-too-long",
+        ],
     )
     def test_failed_run_leaves_no_directory(self, tmp_path, outdir, flags):
         config = write_config(tmp_path)
@@ -567,6 +597,13 @@ class TestOneLineErrors:
             pytest.fail("run_exchange was called")
 
         monkeypatch.setattr(kljn.cli, "run_exchange", run_exchange)
+
+    def test_bin_count_beyond_the_edges_fails_before_the_run(self, tmp_path, no_run, capsys):
+        outdir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path), str(outdir), "--bins", str(10**20)]) == 1
+        message = f"histogram bin count must be an integer in [1, {MAX_BIN_COUNT}], got {10**20}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])
     def test_unusable_output_path_fails_before_the_run(self, tmp_path, no_run, capsys, outdir):

@@ -7,6 +7,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kljn
 import kljn.errors
@@ -117,6 +118,39 @@ def test_no_package_code_uses_the_per_bit_layer():
                 continue
             uses += [f"{path.name}:{node.lineno} {name}" for name in names if name in PER_BIT_LAYER]
     assert uses == []
+
+
+# Each structure fence: a pattern that no package line may match, and the one
+# module exempt from it, if any
+FENCES = {
+    # scalar inputs are checked by kljn.errors.require_int and require_real; a
+    # bool-excluding type check, or an exact-type test such as the real rule's
+    # fast pass, anywhere else is a copy of those rules
+    "input-rules-only-in-errors": (
+        r"isinstance\([^)]*bool|type\([^)]*\) is (not )?(float|int)\b",
+        "errors.py",
+    ),
+    # kljn run rewrites its artifacts in place through cli._rewrite; opening a
+    # path with mode "w" truncates it, which on ext4 makes the next run wait
+    # for the last run's writeback
+    "no-truncating-opens": (r"""open\([^()]*["']w|write_(text|bytes)\(""", None),
+    # ctypes views of Philox's state and the call into numpy.random._generator's
+    # exported C function sit behind NormalStreams' construction guard; a use
+    # anywhere else is unguarded
+    "raw-numpy-only-in-noise": (r"ctypes|\b_generator\b", "noise.py"),
+}
+
+
+@pytest.mark.parametrize("pattern, home", list(FENCES.values()), ids=list(FENCES))
+def test_structure_fence(pattern, home):
+    crossings = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "kljn").glob("*.py"))
+        if path.name != home
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(pattern, line)
+    ]
+    assert crossings == []
 
 
 def error_classes():

@@ -28,7 +28,7 @@ from kljn import (
 )
 from kljn.circuit import ResistorQuad, wire_moments
 from kljn.noise import MAX_BITS
-from kljn.simulation import _block_rows, assign_states
+from kljn.simulation import MAX_BIN_COUNT, MAX_SAMPLES_PER_BIT, _block_rows, assign_states
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,8 @@ class TestSimConfig:
         good = dict(quad=asymmetric_quad, variances=asymmetric_vars)
         with pytest.raises(ValidationError):
             SimConfig(**good, samples_per_bit=1)
+        with pytest.raises(ValidationError):
+            SimConfig(**good, samples_per_bit=MAX_SAMPLES_PER_BIT + 1)
         with pytest.raises(ValidationError):
             SimConfig(**good, num_bits=0)
         with pytest.raises(ValidationError):
@@ -264,22 +266,24 @@ class TestRunExchange:
         self, monkeypatch, asymmetric_quad, asymmetric_vars, method
     ):
         # 5000-bit shares make 40 kB rows; past 16 KiB, send_bytes sends a row
-        # apart from its length header
+        # apart from its length header. A 10001-bit share sends each row in two
+        # pieces, of _PIECE and 1809 values
         monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context(method).Process)
         monkeypatch.setattr("kljn.simulation.os.cpu_count", lambda: 2)
-        config = SimConfig(
-            quad=asymmetric_quad,
-            variances=asymmetric_vars,
-            samples_per_bit=16,
-            num_bits=10_001,
-            master_seed=7,
-            state_policy=StatePolicy.RANDOM,
-        )
-        parallel = run_exchange(config, threads=2)
-        assert multiprocessing.active_children() == []
-        serial = run_exchange(config, threads=1)
-        for name in ("hl_mask", "var_v", "var_i", "cross"):
-            assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes()
+        for num_bits in (10_001, 20_001):
+            config = SimConfig(
+                quad=asymmetric_quad,
+                variances=asymmetric_vars,
+                samples_per_bit=16,
+                num_bits=num_bits,
+                master_seed=7,
+                state_policy=StatePolicy.RANDOM,
+            )
+            parallel = run_exchange(config, threads=2)
+            assert multiprocessing.active_children() == []
+            serial = run_exchange(config, threads=1)
+            for name in ("hl_mask", "var_v", "var_i", "cross"):
+                assert getattr(parallel, name).tobytes() == getattr(serial, name).tobytes()
 
     def test_one_worker_leaves_out_multiprocessing(self):
         # only a run that starts a child imports multiprocessing
@@ -506,9 +510,14 @@ class TestHistogram:
         assert hist.edges.tobytes() == expected.tobytes()
 
     def test_bad_bin_count(self, small_result):
-        for bad in (0, True, 1.5):
+        for bad in (0, True, 1.5, MAX_BIN_COUNT + 1):
             with pytest.raises(ValidationError):
                 histogram(small_result, Indicator.CURRENT_VARIANCE, bad)
+
+    def test_largest_bin_count_runs_out_of_memory(self, small_result):
+        # numpy can size its edges, and fails to allocate them
+        with pytest.raises(MemoryError):
+            histogram(small_result, Indicator.CURRENT_VARIANCE, MAX_BIN_COUNT)
 
 
 class TestEnumArguments:
