@@ -278,8 +278,13 @@ def _pieces(columns: np.ndarray):
             yield row[start : start + _PIECE]
 
 
-def _send_share(sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> None:
-    """Child-process target: send None and _simulate_chunk's rows, or the exception it raised."""
+def _send_share(receiver, sender, config: SimConfig, start: int, hl_flags: np.ndarray) -> None:
+    """Child-process target: send None and _simulate_chunk's rows, or the exception it raised.
+
+    The child first closes its copy of its pipe's receiving end, so that once the
+    parent is gone, a send fails with BrokenPipeError instead of blocking.
+    """
+    receiver.close()
     with sender:
         try:
             columns = np.empty((3, hl_flags.size))
@@ -297,10 +302,12 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
 
     ``threads`` asks for worker processes, at most the machine's CPU count;
     0 picks the CPU count. This process is one of them, so N workers start
-    N - 1 child processes, and none outlives the call. A child that dies
-    without its rows raises KljnError; an exception a child raises is raised
-    here with its own type. The result is identical for every thread count and
-    scheduling order because each bit's streams are keyed by its index alone.
+    N - 1 child processes. A child outlives neither the call nor a kill of this
+    process: once this process is gone, the child's next send fails and it
+    exits. A child that dies without its rows raises KljnError; an exception a
+    child raises is raised here with its own type. The result is identical for
+    every thread count and scheduling order because each bit's streams are
+    keyed by its index alone.
     """
     require_int("threads", threads, 0)
     hl_mask = assign_states(config)
@@ -319,10 +326,13 @@ def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:
             receiver, sender = multiprocessing.Pipe(duplex=False)
             receivers.append(receiver)
             # the parent's copy of the sending end is closed once the child holds its own,
-            # so a child that dies leaves its receiver at end of file
+            # so a child that dies leaves its receiver at end of file. A forked child
+            # also holds the earlier children's receiving ends; it frees them when it
+            # exits, so after a kill of this process the last child exits first
             with sender:
                 child = multiprocessing.Process(
-                    target=_send_share, args=(sender, config, start, hl_mask[start:stop])
+                    target=_send_share,
+                    args=(receiver, sender, config, start, hl_mask[start:stop]),
                 )
                 child.start()
             children.append(child)

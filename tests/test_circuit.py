@@ -21,11 +21,6 @@ def small_quad():
 
 
 class TestResistorQuad:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
-    def test_rejects_non_positive_or_non_finite(self, bad):
-        with pytest.raises(ValidationError):
-            ResistorQuad(r_la=bad, r_ha=2.0, r_lb=3.0, r_hb=4.0)
-
     def test_rejects_equal_pair_per_party(self):
         with pytest.raises(ValidationError):
             ResistorQuad(r_la=5.0, r_ha=5.0, r_lb=1.0, r_hb=2.0)
@@ -44,11 +39,6 @@ class TestResistorQuad:
 
 
 class TestNoiseVariances:
-    @pytest.mark.parametrize("bad", [0.0, -0.5, float("inf"), float("nan")])
-    def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValidationError):
-            NoiseVariances(v_la_sq=bad, v_ha_sq=1.0, v_lb_sq=1.0, v_hb_sq=1.0)
-
     def test_connected_pairs(self):
         v = NoiseVariances(v_la_sq=1.0, v_ha_sq=2.0, v_lb_sq=3.0, v_hb_sq=4.0)
         assert v.connected(LineState.LH) == (1.0, 4.0)
@@ -70,6 +60,7 @@ class TestFieldValidation:
                 ("1.0", "a real number"),
                 (np.float32(1.0), "a real number"),
                 (-1, "positive and finite"),
+                (0.0, "positive and finite"),
                 (float("nan"), "positive and finite"),
                 (np.float64("nan"), "positive and finite"),
                 (-0.0, "positive and finite"),
