@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,17 @@ _INT_KEYS = (
     ("master_seed", "--seed"),
     ("histogram_bins", "--bins"),
 )
+# Rows _write_csv formats by one % each
+_CSV_BLOCK_ROWS = 4096
+# The header and row format of each CSV artifact. Every line is the one csv.writer
+# would give: no field needs quoting, and %.17g on a Python float is full double
+# precision with a '.' separator. The histogram's edges come formatted, each once.
+_BER_CSV = (
+    "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl",
+    "%s,%.17g,%.17g,%.17g,%s,%s",
+)
+_HIST_CSV = ("bin_low,bin_high,count_lh,count_hl", "%s,%s,%s,%s")
+_SCATTER_CSV = ("v_e_volts,i_e_amps", "%.17g,%.17g")
 # Each security residual and the observable whose LH/HL mismatch it measures.
 _RESIDUAL_OBSERVABLES = {
     "current_residual": "current variance",
@@ -183,8 +194,19 @@ def _rewrite(path: Path, lines) -> None:
 
 
 def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
-    """Write a CSV file: the header line, then ``row_format.format(*row)`` per row, streamed."""
-    _rewrite(path, chain((f"{header}\n",), (f"{row_format.format(*row)}\n" for row in rows)))
+    """Write a CSV file: the header line, then ``row_format % tuple(row)`` per row, streamed.
+
+    Each block of _CSV_BLOCK_ROWS rows is formatted by one ``%`` on its fields.
+    """
+    rows = iter(rows)
+    line = row_format + "\n"
+
+    def blocks():
+        yield f"{header}\n"
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            yield (line * len(block)) % tuple(chain.from_iterable(block))
+
+    _rewrite(path, blocks())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -195,6 +217,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     bins = ints["histogram_bins"]
     require_int("histogram bin count", bins, 1, MAX_BIN_COUNT)
+    # each histogram's edges are made after the exchange: a count whose edges
+    # cannot be allocated fails here, before it, with the same MemoryError
+    np.empty(bins + 1)
     sim = SimConfig(
         config.quad,
         config.explicit_variances
@@ -223,12 +248,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     outdir.mkdir(parents=True, exist_ok=True)
-    # every line is the one csv.writer would give: no field needs quoting, and
-    # .17g on a Python float is full double precision with a '.' separator
     _write_csv(
         outdir / "ber.csv",
-        "indicator,ber_percent,leak_percent,threshold,bits_lh,bits_hl",
-        "{},{:.17g},{:.17g},{:.17g},{},{}",
+        *_BER_CSV,
         (
             (e.indicator.value, 100.0 * e.ber, 100.0 * e.leak, e.threshold, e.bits_lh, e.bits_hl)
             for e in report
@@ -239,16 +261,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         edges = [f"{edge:.17g}" for edge in hist.edges.tolist()]
         _write_csv(
             outdir / f"hist_{indicator.value}.csv",
-            "bin_low,bin_high,count_lh,count_hl",
-            "{},{},{},{}",
+            *_HIST_CSV,
             zip(edges[:-1], edges[1:], hist.counts_lh.tolist(), hist.counts_hl.tolist()),
         )
-    _write_csv(
-        outdir / "scatter.csv",
-        "v_e_volts,i_e_amps",
-        "{:.17g},{:.17g}",
-        traces.reshape(-1, 2).tolist(),
-    )
+    _write_csv(outdir / "scatter.csv", *_SCATTER_CSV, traces.reshape(-1, 2).tolist())
 
     # the inverse of load_config: fed back to `run`, it reproduces every artifact
     metadata = {

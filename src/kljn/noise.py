@@ -126,10 +126,11 @@ class NormalStreams:
     ``StreamSeed(master_seed, stream_id).generator().standard_normal(samples)``.
     Philox is counter-based, so writing the key ``[master_seed, stream_id]``,
     a zero counter and an empty output buffer is a fresh stream. Those words
-    are written in place through numpy's ``Philox.ctypes.state_address``,
-    which costs a fraction of building a generator or setting its ``state``
-    per stream, and each stream is drawn by one call to numpy's C
-    ``random_standard_normal_fill``, the call numpy's CFFI example makes.
+    are written in place through numpy's ``Philox.ctypes.state_address``, by
+    three scalar ctypes views made once, which costs a fraction of building a
+    generator or setting its ``state`` per stream, and each stream is drawn by
+    one call to numpy's C ``random_standard_normal_fill``, the call numpy's
+    CFFI example makes.
     Construction draws two probe streams through ``fill`` and raises
     GeneratorLayoutError unless their bytes are those of fresh generators, so
     a numpy whose state layout or C draw differs is refused before any stream
@@ -137,7 +138,9 @@ class NormalStreams:
     serves one thread; the kernel builds one per chunk.
     """
 
-    __slots__ = ("_bit_generator", "_state", "_counter", "_key", "_fill", "_bitgen_ptr")
+    __slots__ = (
+        "_bit_generator", "_stream_id", "_counter_low", "_buffer_pos", "_fill", "_bitgen_ptr"
+    )
 
     def __init__(self, master_seed: int) -> None:
         require_int("master_seed", master_seed, 0, UINT64_MAX)
@@ -147,14 +150,17 @@ class NormalStreams:
         # 2**64 blocks (2**66 samples of one stream)
         self._bit_generator = np.random.Philox(0)
         interface = self._bit_generator.ctypes
-        self._state = _PhiloxState.from_address(interface.state_address)
-        # the ctypes arrays of the words themselves, written in place
-        self._counter = self._state.ctr.contents
-        self._key = self._state.key.contents
+        state = _PhiloxState.from_address(interface.state_address)
+        key = state.key.contents
+        # scalar views of the words fill writes per stream: key word 1, counter
+        # word 0 and buffer_pos. self._bit_generator keeps their memory alive
+        self._stream_id = ctypes.c_uint64.from_buffer(key, ctypes.sizeof(ctypes.c_uint64))
+        self._counter_low = ctypes.c_uint64.from_buffer(state.ctr.contents)
+        self._buffer_pos = ctypes.c_int.from_buffer(state, _PhiloxState.buffer_pos.offset)
         self._fill = _standard_normal_fill()
-        # the bitgen_t the C draw takes; self._bit_generator keeps it alive
+        # the bitgen_t the C draw takes
         self._bitgen_ptr = interface.bit_generator
-        self._key[0] = _PROBE_SEED
+        key[0] = _PROBE_SEED
         probe = np.empty((len(_PROBE_IDS), _PROBE_SAMPLES))
         if self.fill(np.array(_PROBE_IDS, np.uint64), probe).tobytes() != _probe_streams():
             raise GeneratorLayoutError(
@@ -162,7 +168,7 @@ class NormalStreams:
                 "random_standard_normal_fill, does not give the streams of fresh "
                 "generators, so its streams cannot be drawn"
             )
-        self._key[0] = master_seed
+        key[0] = master_seed
 
     def fill(self, stream_ids, out: np.ndarray) -> np.ndarray:
         """Fill ``out``, shape ``stream_ids.shape + (samples,)``, one stream per row; return it.
@@ -187,8 +193,8 @@ class NormalStreams:
             )
         if not out.size:
             return out
-        counter, key, state, fill, bitgen_ptr = (
-            self._counter, self._key, self._state, self._fill, self._bitgen_ptr
+        stream_word, counter_low, buffer_pos, fill, bitgen_ptr = (
+            self._stream_id, self._counter_low, self._buffer_pos, self._fill, self._bitgen_ptr
         )
         samples = out.shape[-1]
         row_bytes = 8 * samples
@@ -200,9 +206,9 @@ class NormalStreams:
         # a memoryview yields the ids as Python ints one at a time, with no list of them all
         ids = memoryview(stream_ids.astype(np.uint64, copy=False).ravel())
         for address, stream_id in zip(range(base, base + row_bytes * len(ids), row_bytes), ids):
-            key[1] = stream_id
-            counter[0] = 0
-            state.buffer_pos = 4  # output buffer empty: the first draw runs the zero counter
+            stream_word.value = stream_id
+            counter_low.value = 0
+            buffer_pos.value = 4  # output buffer empty: the first draw runs the zero counter
             row.value = address
             fill(bitgen_ptr, count, row)
         return out

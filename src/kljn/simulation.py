@@ -282,19 +282,23 @@ def _send_share(receiver, sender, config: SimConfig, start: int, hl_flags: np.nd
     """Child-process target: send None and _simulate_chunk's rows, or the exception it raised.
 
     The child first closes its copy of its pipe's receiving end, so that once the
-    parent is gone, a send fails with BrokenPipeError instead of blocking.
+    parent is gone, a send fails with BrokenPipeError instead of blocking. The
+    child then exits with status 1 and prints nothing: no one is left to read it.
     """
     receiver.close()
-    with sender:
-        try:
-            columns = np.empty((3, hl_flags.size))
-            _simulate_chunk(config, start, hl_flags, columns)
-        except Exception as exc:
-            sender.send(exc)
-        else:
-            sender.send(None)
-            for piece in _pieces(columns):
-                sender.send_bytes(piece)
+    try:
+        with sender:
+            try:
+                columns = np.empty((3, hl_flags.size))
+                _simulate_chunk(config, start, hl_flags, columns)
+            except Exception as exc:
+                sender.send(exc)
+            else:
+                sender.send(None)
+                for piece in _pieces(columns):
+                    sender.send_bytes(piece)
+    except BrokenPipeError:
+        sys.exit(1)
 
 
 def run_exchange(config: SimConfig, threads: int = 1) -> ExchangeResult:

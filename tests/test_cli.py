@@ -1,6 +1,8 @@
 import csv
 import errno
 import hashlib
+import io
+import itertools
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -352,6 +354,36 @@ class TestArtifactDigests:
         assert got == ARTIFACT_DIGESTS[policy, samples]
 
 
+class TestCsvLines:
+    # _write_csv formats blocks of rows with one %; each line must be the one
+    # csv.writer gives when handed every float as its .17g text
+    FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1)
+    INTS = (0, 2**62)
+
+    def rows(self, artifact, count):
+        floats, ints = itertools.cycle(self.FLOATS), itertools.cycle(self.INTS)
+        for _ in range(count):
+            if artifact == "_BER_CSV":
+                yield "cross_correlation", *itertools.islice(floats, 3), next(ints), next(ints)
+            elif artifact == "_HIST_CSV":  # the edges come formatted
+                yield f"{next(floats):.17g}", f"{next(floats):.17g}", next(ints), next(ints)
+            else:
+                yield next(floats), next(floats)
+
+    @pytest.mark.parametrize("count", [0, 1, kljn.cli._CSV_BLOCK_ROWS, kljn.cli._CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("artifact", ["_BER_CSV", "_HIST_CSV", "_SCATTER_CSV"])
+    def test_lines_are_csv_writers(self, tmp_path, artifact, count):
+        header, row_format = getattr(kljn.cli, artifact)
+        path = tmp_path / "artifact.csv"
+        kljn.cli._write_csv(path, header, row_format, self.rows(artifact, count))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header.split(","))
+        for row in self.rows(artifact, count):
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        assert path.read_text() == want.getvalue()
+
+
 class TestRewriteInPlace:
     # kljn run opens each artifact without O_TRUNC and cuts it where the new lines end
     NAMES = (*ARTIFACT_NAMES, "metadata.json")
@@ -555,6 +587,18 @@ class TestOneLineErrors:
         assert main(["run", write_config(tmp_path), str(outdir), "--bins", str(10**20)]) == 1
         message = f"histogram bin count must be an integer in [1, {MAX_BIN_COUNT}], got {10**20}"
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not outdir.exists()
+
+    def test_bin_count_beyond_memory_fails_before_the_run(self, tmp_path, no_run, capsys):
+        # within MAX_BIN_COUNT, but its 80 TB of edges cannot be allocated
+        outdir = tmp_path / "out"
+        config = write_config(tmp_path)
+        flags = ("--bins", str(10**13), "--bits", "4", "--samples", "2", "--threads", "1")
+        assert main(["run", config, str(outdir), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
         assert not outdir.exists()
 
     @pytest.mark.parametrize("outdir", ["afile", "afile/sub"])

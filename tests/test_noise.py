@@ -157,6 +157,17 @@ class TestStandardNormalStreams:
                 got = keyed.fill([stream_id], np.empty((1, 33)))[0]
                 assert np.array_equal(got, fresh_stream(seed, stream_id, 33))
 
+    def test_two_live_objects_keep_their_own_keys(self):
+        # both built before either draws, then drawn in turn, several rows a call:
+        # each object re-keys only its own Philox, and its master seed stays put
+        seeds = (5, 2**63 + 7)
+        first, second = (NormalStreams(seed) for seed in seeds)
+        for stream_ids in ([0, 1, 2], [2**64 - 1], [7, 7], [3, 2**62]):
+            for seed, streams in zip(seeds, (first, second)):
+                rows = streams.fill(np.array(stream_ids, np.uint64), np.empty((len(stream_ids), 13)))
+                for row, stream_id in zip(rows, stream_ids):
+                    assert np.array_equal(row, fresh_stream(seed, stream_id, 13))
+
     def test_each_call_draws_its_own_count_at_its_own_address(self):
         # one object, calls of changing row length and a buffer that starts one
         # row into a larger one: a count or address kept from an earlier call
@@ -197,8 +208,8 @@ class TestStandardNormalStreams:
             # as the last stream left it
             def fill(self, stream_ids, out):
                 for row, stream_id in zip(out, stream_ids):
-                    self._key[1] = stream_id
-                    self._counter[0] = 0
+                    self._stream_id.value = stream_id
+                    self._counter_low.value = 0
                     self._fill(self._bitgen_ptr, row.size, row.ctypes.data)
                 return out
 

@@ -274,11 +274,11 @@ class TestRunExchange:
             "run_exchange(SimConfig(quad, solve_variances(quad, 1.0), 2, 80_000), threads=0)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(kljn.__file__).parents[1]))
-        # a file, not a pipe: a child left blocked would hold a pipe open, and the run with it
-        out = tmp_path / "pids"
-        with open(out, "x") as handle:
+        # files, not pipes: a child left blocked would hold a pipe open, and the run with it
+        out, err = tmp_path / "pids", tmp_path / "stderr"
+        with open(out, "x") as handle, open(err, "x") as err_handle:
             done = subprocess.run(
-                [sys.executable, "-c", code], stdout=handle, stderr=subprocess.DEVNULL, env=env
+                [sys.executable, "-c", code], stdout=handle, stderr=err_handle, env=env
             )
         pids = [int(pid) for pid in out.read_text().split()]
 
@@ -296,6 +296,9 @@ class TestRunExchange:
             while any(map(alive, pids)) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert not any(map(alive, pids))
+            # each orphan's failed send ends it quietly, with no traceback
+            assert "Traceback" not in err.read_text()
+            assert "BrokenPipeError" not in err.read_text()
         finally:
             for pid in filter(alive, pids):
                 with contextlib.suppress(ProcessLookupError):
