@@ -144,10 +144,16 @@ def _solved(config: FileConfig, missing: str) -> NoiseVariances:
     return solve_variances(config.quad, config.v_la_sq)
 
 
+def _decimal(value: float, places: int) -> str:
+    """``value`` to ``places`` decimals, or to 6 significant digits where those read all zeros."""
+    text = f"{value:.{places}f}"
+    return text if text.strip("-0.") else f"{value:.6g}"
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     variances = _solved(load_config(args.config), "solve needs 'v_la_variance_v2' in the config")
     for name, value in asdict(variances).items():
-        print(f"{name[:-3]},{value:.5f},{math.sqrt(value):.3f}")
+        print(f"{name[:-3]},{_decimal(value, 5)},{_decimal(math.sqrt(value), 3)}")
     return 0
 
 

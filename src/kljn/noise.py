@@ -28,15 +28,6 @@ GENERATOR_ALGORITHM = "philox4x64"
 # Master seeds and stream ids are the two 64-bit words of a Philox key.
 UINT64_MAX = 2**64 - 1
 
-# Stream-id layout: each bit owns a block of 8 consecutive ids, one per
-# generator slot. Slots 4-7 are reserved; slot 4 of bit 0 doubles as the
-# state-assignment coin stream, which no noise generator ever uses.
-STREAM_STRIDE = 8
-GEN_LA, GEN_HA, GEN_LB, GEN_HB = 0, 1, 2, 3
-STATE_COIN_STREAM_ID = 4
-# Bits that have stream ids: bit 2**61 - 1 owns the last ids, up to 2**64 - 1.
-MAX_BITS = (UINT64_MAX + 1) // STREAM_STRIDE
-
 
 @dataclass(frozen=True, slots=True)
 class StreamSeed:

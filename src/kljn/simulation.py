@@ -23,18 +23,7 @@ import numpy as np
 
 from .circuit import LineState, NoiseVariances, ResistorQuad, superpose
 from .errors import KljnError, ValidationError, require_int, require_member
-from .noise import (
-    GEN_HA,
-    GEN_HB,
-    GEN_LA,
-    GEN_LB,
-    MAX_BITS,
-    STATE_COIN_STREAM_ID,
-    STREAM_STRIDE,
-    UINT64_MAX,
-    NormalStreams,
-    StreamSeed,
-)
+from .noise import UINT64_MAX, NormalStreams, StreamSeed
 
 # The per-bit primitives stay importable from this module; the batched
 # kernel reproduces them bit for bit without calling them.
@@ -59,7 +48,14 @@ _PIECE = 8192
 # fails with MemoryError.
 MAX_SAMPLES_PER_BIT = sys.maxsize // 32
 
-
+# Stream-id layout: each bit owns a block of 8 consecutive ids, one per
+# generator slot. Slots 4-7 are reserved; slot 4 of bit 0 doubles as the
+# state-assignment coin stream, which no noise generator ever uses.
+STREAM_STRIDE = 8
+GEN_LA, GEN_HA, GEN_LB, GEN_HB = 0, 1, 2, 3
+STATE_COIN_STREAM_ID = 4
+# Bits that have stream ids: bit 2**61 - 1 owns the last ids, up to 2**64 - 1.
+MAX_BITS = (UINT64_MAX + 1) // STREAM_STRIDE
 # Generator slots of the connected (alice, bob) sources in each state, as columns
 _LH_SLOTS = np.array([[GEN_LA], [GEN_HB]], dtype=np.uint64)
 _HL_SLOTS = np.array([[GEN_HA], [GEN_LB]], dtype=np.uint64)

@@ -4,12 +4,14 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,19 @@ class TestSolveCommand:
             "error: infeasible resistor configuration: v_hb_sq = -0.125 V**2 "
             "(must be strictly positive)\n"
         )
+
+    def test_johnson_scale_prints_significant_digits(self, tmp_path, capsys):
+        # at 1.6e-20 V**2 every field would read 0.00000 or 0.000 to fixed decimals
+        resistors = {"r_la": 1e6, "r_ha": 1e7, "r_lb": 5e6, "r_hb": 9e6}
+        path = write_config(tmp_path, resistors_ohm=resistors, v_la_variance_v2=1.6e-20)
+        assert main(["solve", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        variances = kljn.solve_variances(kljn.ResistorQuad(**resistors), 1.6e-20)
+        assert [line.split(",")[0] for line in lines] == ["v_la", "v_ha", "v_lb", "v_hb"]
+        for line, value in zip(lines, asdict(variances).values()):
+            _, variance, rms = line.split(",")
+            assert float(variance) == pytest.approx(value, rel=1e-5)
+            assert float(rms) == pytest.approx(math.sqrt(value), rel=1e-3)
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json")]) == 1
@@ -502,6 +517,16 @@ class TestOneLineErrors:
         path.write_text(json.dumps(config))
         assert main(["solve", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("value", [True, 1.5, "8"], ids=["bool", "float", "string"])
+    @pytest.mark.parametrize("key", ["num_bits", "samples_per_bit", "master_seed", "histogram_bins"])
+    @pytest.mark.parametrize("command", [["solve"], ["check", "--solve"]], ids=["solve", "check"])
+    def test_config_integer_key_not_an_integer(self, tmp_path, capsys, command, key, value):
+        # solve and check use none of these keys, yet load_config holds every command to them
+        assert main([*command, write_config(tmp_path, **{key: value})]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {key} must be an integer, got ")
 
     @pytest.mark.parametrize("command", ["solve", "check", "run"])
     def test_config_nested_too_deeply(self, tmp_path, command):

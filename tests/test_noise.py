@@ -14,36 +14,8 @@ from kljn import (
 )
 from kljn.circuit import superpose, wire_moments
 from kljn.errors import GeneratorLayoutError, KljnError
-from kljn.noise import (
-    GEN_HA,
-    GEN_HB,
-    GEN_LA,
-    GEN_LB,
-    STATE_COIN_STREAM_ID,
-    STREAM_STRIDE,
-    NormalStreams,
-    StreamSeed,
-    gaussian_block,
-)
-from kljn.simulation import _stream_ids
-
-
-class TestStreamLayout:
-    """The ids the kernel draws each bit's connected sources from: bit * STREAM_STRIDE + slot."""
-
-    def test_block_layout(self):
-        assert (STREAM_STRIDE, GEN_LA, GEN_HA, GEN_LB, GEN_HB) == (8, 0, 1, 2, 3)
-        ids = _stream_ids(np.array([0, 1, 3, 3]), np.array([False, False, False, True]))
-        # row 0 is Alice's source, row 1 Bob's: (la, hb) in LH, (ha, lb) in HL
-        assert ids.dtype == np.uint64
-        assert ids.tolist() == [[0, 8, 24, 25], [3, 11, 27, 26]]
-
-    def test_coin_stream_never_collides_with_noise_slots(self):
-        # every bit of 100 in both states: all four generator slots
-        bits = np.repeat(np.arange(100), 2)
-        noise_ids = set(_stream_ids(bits, np.tile([False, True], 100)).ravel().tolist())
-        assert len(noise_ids) == 400
-        assert STATE_COIN_STREAM_ID not in noise_ids
+from kljn.noise import NormalStreams, StreamSeed, gaussian_block
+from kljn.simulation import GEN_HB, GEN_LA
 
 
 class TestStreamSeed:

@@ -138,6 +138,13 @@ FENCES = {
     # exported C function sit behind NormalStreams' construction guard; a use
     # anywhere else is unguarded
     "raw-numpy-only-in-noise": (r"ctypes|\b_generator\b", "noise.py"),
+    # a bit's stream ids, bit * STREAM_STRIDE + slot under the run's master
+    # seed, are a decision of the experiment that simulation alone makes;
+    # noise draws keyed streams and knows no bits
+    "stream-layout-only-in-simulation": (
+        r"\b(STREAM_STRIDE|GEN_(LA|HA|LB|HB)|STATE_COIN_STREAM_ID|MAX_BITS)\b",
+        "simulation.py",
+    ),
 }
 
 

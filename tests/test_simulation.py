@@ -30,8 +30,20 @@ from kljn import (
     scatter_trace,
 )
 from kljn.circuit import ResistorQuad, wire_moments
-from kljn.noise import MAX_BITS
-from kljn.simulation import MAX_BIN_COUNT, MAX_SAMPLES_PER_BIT, _block_rows, assign_states
+from kljn.simulation import (
+    GEN_HA,
+    GEN_HB,
+    GEN_LA,
+    GEN_LB,
+    MAX_BIN_COUNT,
+    MAX_BITS,
+    MAX_SAMPLES_PER_BIT,
+    STATE_COIN_STREAM_ID,
+    STREAM_STRIDE,
+    _block_rows,
+    _stream_ids,
+    assign_states,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +76,24 @@ def synthetic_bits(lh_values, hl_values, indicator):
     }[indicator]
     columns[key] = [*lh_values, *hl_values]
     return ExchangeResult([False] * len(lh_values) + [True] * len(hl_values), **columns)
+
+
+class TestStreamLayout:
+    """The ids the kernel draws each bit's connected sources from: bit * STREAM_STRIDE + slot."""
+
+    def test_block_layout(self):
+        assert (STREAM_STRIDE, GEN_LA, GEN_HA, GEN_LB, GEN_HB) == (8, 0, 1, 2, 3)
+        ids = _stream_ids(np.array([0, 1, 3, 3]), np.array([False, False, False, True]))
+        # row 0 is Alice's source, row 1 Bob's: (la, hb) in LH, (ha, lb) in HL
+        assert ids.dtype == np.uint64
+        assert ids.tolist() == [[0, 8, 24, 25], [3, 11, 27, 26]]
+
+    def test_coin_stream_never_collides_with_noise_slots(self):
+        # every bit of 100 in both states: all four generator slots
+        bits = np.repeat(np.arange(100), 2)
+        noise_ids = set(_stream_ids(bits, np.tile([False, True], 100)).ravel().tolist())
+        assert len(noise_ids) == 400
+        assert STATE_COIN_STREAM_ID not in noise_ids
 
 
 class TestSimConfig:
